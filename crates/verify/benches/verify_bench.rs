@@ -1,10 +1,9 @@
 //! Wall-clock benchmarks of the analyzer itself (host time): the cost of
-//! a full workspace scan, its layers (lex/parse, call graph, typestate
-//! protocols), and the content-hash cache's warm-replay path. The
-//! committed numbers live in `bench_results/verify_bench.txt`; CI's
-//! `verify-v3` job re-runs this bench so a rule that regresses the scan
-//! from milliseconds to seconds is caught as a perf diff, not discovered
-//! when `cargo test -q` starts crawling.
+//! a full workspace scan and its layers (lex/parse, call graph, typestate
+//! protocols). The committed numbers live in
+//! `bench_results/verify_bench.txt`; CI's `verify` job re-runs this bench
+//! so a rule that regresses the scan from milliseconds to seconds is caught
+//! as a perf diff, not discovered when `cargo test -q` starts crawling.
 //!
 //! The analyzer runs inside tier-1 (`tests/verify_lint.rs`) on every
 //! `cargo test`, so its wall-clock *is* developer-loop latency.
@@ -12,7 +11,6 @@
 #![allow(clippy::print_stdout)] // bench binaries print their results
 
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, Criterion};
 use ooh_verify::ast::ParsedFile;
@@ -52,79 +50,15 @@ fn bench_layers(c: &mut Criterion) {
 
     g.bench_function("full_scan", |b| {
         b.iter(|| {
-            let report =
-                ooh_verify::scan_files(&inputs, &ooh_verify::Allowlist::parse(""));
+            let report = ooh_verify::scan_files(&inputs, &ooh_verify::Allowlist::parse(""));
             black_box(report.files_scanned)
         })
     });
     g.finish();
 }
 
-fn bench_cache(c: &mut Criterion) {
-    let root = ooh_verify::workspace_root();
-    let dir = std::env::temp_dir().join("ooh-verify-bench-cache");
-    std::fs::create_dir_all(&dir).expect("temp cache dir");
-    let cache = dir.join(format!("bench-{}.cache", std::process::id()));
-    let _ = std::fs::remove_file(&cache);
-    // Populate once so the timed loop measures the warm replay.
-    let (_, warm) = ooh_verify::cache::run_cached(&root, &cache).expect("cold populate");
-    assert!(!warm);
-
-    let mut g = c.benchmark_group("verify_cache");
-    g.bench_function("warm_replay", |b| {
-        b.iter(|| {
-            let (report, warm) =
-                ooh_verify::cache::run_cached(&root, &cache).expect("warm run");
-            assert!(warm);
-            black_box(report.files_scanned)
-        })
-    });
-    g.finish();
-    let _ = std::fs::remove_file(&cache);
-}
-
-criterion_group!(benches, bench_layers, bench_cache);
-
-/// Explicit cold-vs-warm report — the lines committed to
-/// `bench_results/verify_bench.txt`.
-fn best_of<F: FnMut() -> usize>(reps: u32, mut f: F) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        black_box(f());
-        best = best.min(t0.elapsed());
-    }
-    best
-}
-
-fn cache_report() {
-    let root = ooh_verify::workspace_root();
-    let inputs = workspace_inputs();
-    let files = inputs.len();
-    let dir = std::env::temp_dir().join("ooh-verify-bench-cache");
-    std::fs::create_dir_all(&dir).expect("temp cache dir");
-    let cache = dir.join(format!("report-{}.cache", std::process::id()));
-
-    println!("cache report: full workspace, {files} files (best of 5)");
-    let cold = best_of(5, || {
-        let _ = std::fs::remove_file(&cache);
-        let (r, warm) = ooh_verify::cache::run_cached(&root, &cache).expect("cold");
-        assert!(!warm);
-        r.files_scanned
-    });
-    let warm = best_of(5, || {
-        let (r, w) = ooh_verify::cache::run_cached(&root, &cache).expect("warm");
-        assert!(w);
-        r.files_scanned
-    });
-    let speedup = cold.as_secs_f64() / warm.as_secs_f64().max(1e-9);
-    println!("  cold scan:   {cold:?}");
-    println!("  warm replay: {warm:?}");
-    println!("  speedup:     {speedup:.1}x");
-    let _ = std::fs::remove_file(&cache);
-}
+criterion_group!(benches, bench_layers);
 
 fn main() {
     benches();
-    cache_report();
 }

@@ -2,7 +2,7 @@
 //!
 //! This is not a Rust parser — it recognizes exactly the shapes the flow
 //! rules need: `fn` items with their name, span, and body token range;
-//! balanced-delimiter matching; `#[cfg(test)]` regions; and the calls,
+//! balanced-delimiter matching; per-token `#[cfg(test)]` regions; and the calls,
 //! method calls, and macro invocations inside each body. Everything else
 //! (types, generics, expressions) flows through as raw tokens that the
 //! rules pattern-match directly.
@@ -11,7 +11,7 @@
 //! recognized", never to an error, so one broken file cannot take down the
 //! workspace scan.
 
-use crate::lexer::{self, Lexed, Tok, TokKind};
+use crate::lexer::{self, Tok, TokKind};
 
 /// Sentinel for "no matching delimiter" in [`ParsedFile::matching`].
 pub const NO_MATCH: usize = usize::MAX;
@@ -54,47 +54,55 @@ pub struct CallSite {
     pub tok: usize,
 }
 
-/// A fully lexed and item-parsed source file — the unit the flow rules and
-/// the call graph consume.
+/// A fully lexed and item-parsed source file — the unit every rule and the
+/// call graph consume.
 #[derive(Debug)]
 pub struct ParsedFile {
     pub crate_name: String,
     pub rel_path: String,
     pub source: String,
-    /// Masked source as chars (comments/literals blanked) — the substrate
-    /// for the ported v1 token rules.
-    pub masked_chars: Vec<char>,
-    /// Per-char `#[cfg(test)]` region mask over the masked source.
-    pub in_test: Vec<bool>,
     pub toks: Vec<Tok>,
     /// `matching[i]` = index of the delimiter token matching `toks[i]`
     /// (both directions), or [`NO_MATCH`].
     pub matching: Vec<usize>,
+    /// `in_test[i]` is true when `toks[i]` sits in a `#[cfg(test)]` region
+    /// (see `test_mask`).
+    pub in_test: Vec<bool>,
     pub fns: Vec<FnItem>,
 }
 
 impl ParsedFile {
     pub fn parse(crate_name: &str, rel_path: &str, source: &str) -> ParsedFile {
-        let Lexed { toks, masked } = lexer::lex(source);
-        let masked_chars: Vec<char> = masked.chars().collect();
-        let in_test = crate::test_regions(&masked);
+        let toks = lexer::lex(source);
         let matching = match_delims(&toks);
+        let in_test = test_mask(&toks, &matching);
         let fns = parse_fns(&toks, &matching, &in_test);
         ParsedFile {
             crate_name: crate_name.to_string(),
             rel_path: rel_path.to_string(),
             source: source.to_string(),
-            masked_chars,
-            in_test,
             toks,
             matching,
+            in_test,
             fns,
         }
     }
 
     /// The trimmed raw source line `line` (1-based), for excerpts.
     pub fn raw_line(&self, line: usize) -> String {
-        self.source.lines().nth(line - 1).unwrap_or("").trim().to_string()
+        self.source
+            .lines()
+            .nth(line - 1)
+            .unwrap_or("")
+            .trim()
+            .to_string()
+    }
+
+    /// True when char offset `pos` (between tokens, e.g. inside a comment)
+    /// lies in a `#[cfg(test)]` region: the tokens on both sides of it do.
+    pub(crate) fn pos_in_test(&self, pos: usize) -> bool {
+        let next = self.toks.partition_point(|t| t.pos < pos);
+        next > 0 && next < self.toks.len() && self.in_test[next - 1] && self.in_test[next]
     }
 
     /// Call-shaped sites in the half-open token range `lo..hi`.
@@ -138,6 +146,51 @@ pub fn match_delims(toks: &[Tok]) -> Vec<usize> {
         }
     }
     matching
+}
+
+/// True when the token texts starting at `i` are exactly `seq` (idents
+/// by text, puncts and delimiters by char; literals never match).
+pub(crate) fn seq_at(toks: &[Tok], i: usize, seq: &[&str]) -> bool {
+    toks.len() >= i + seq.len() && seq.iter().zip(&toks[i..]).all(|(s, t)| t.text == *s)
+}
+
+/// Per-token `#[cfg(test)]` mask: each region runs from the attribute
+/// through the end of the item it annotates — the matching `}` of its body,
+/// or the `;` of a bodyless item (`#[cfg(test)] mod tests;`). Parenthesized
+/// and bracketed groups before the body are skipped whole, so further
+/// attributes and a `;` inside a parameter type do not end the item early.
+fn test_mask(toks: &[Tok], matching: &[usize]) -> Vec<bool> {
+    const ATTR: &[&str] = &["#", "[", "cfg", "(", "test", ")", "]"];
+    let mut in_test = vec![false; toks.len()];
+    let mut i = 0;
+    while i < toks.len() {
+        if !seq_at(toks, i, ATTR) {
+            i += 1;
+            continue;
+        }
+        let mut j = i + ATTR.len();
+        let end = loop {
+            let Some(t) = toks.get(j) else {
+                break toks.len();
+            };
+            if t.is_punct(';') {
+                break j + 1;
+            }
+            if t.kind == TokKind::Open {
+                if matching[j] == NO_MATCH {
+                    break toks.len();
+                }
+                if t.is_open('{') {
+                    break matching[j] + 1;
+                }
+                j = matching[j];
+            }
+            j += 1;
+        };
+        in_test[i..end].fill(true);
+        i = end;
+    }
+    in_test
 }
 
 /// Finds every `fn` item: the `fn` keyword token, the name, and the body
@@ -192,14 +245,13 @@ fn parse_fns(toks: &[Tok], matching: &[usize], in_test: &[bool]) -> Vec<FnItem> 
                 _ => j += 1,
             }
         }
-        let pos = toks[fn_tok].pos;
         fns.push(FnItem {
             name,
             fn_tok,
             body,
             line: toks[fn_tok].line,
             col: toks[fn_tok].col,
-            in_test: in_test.get(pos).copied().unwrap_or(false),
+            in_test: in_test[fn_tok],
         });
         i += 2;
     }
@@ -239,22 +291,6 @@ pub fn calls_in(toks: &[Tok], lo: usize, hi: usize) -> Vec<CallSite> {
         }
     }
     out
-}
-
-/// True when the token sequence `Pte :: <member>` occurs anywhere in
-/// `lo..hi` (used by the shootdown rule for `Pte::empty`).
-pub fn has_path_seq(toks: &[Tok], lo: usize, hi: usize, ty: &str, member: &str) -> bool {
-    let hi = hi.min(toks.len());
-    for i in lo..hi {
-        if toks[i].is_ident(ty)
-            && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 3).is_some_and(|t| t.is_ident(member))
-        {
-            return true;
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -331,9 +367,33 @@ mod tests {
     }
 
     #[test]
-    fn path_seq_matcher() {
-        let p = parse("fn f() { w(Pte::empty().0); }");
-        assert!(has_path_seq(&p.toks, 0, p.toks.len(), "Pte", "empty"));
-        assert!(!has_path_seq(&p.toks, 0, p.toks.len(), "Pte", "DIRTY"));
+    fn seq_matcher_compares_token_texts() {
+        let p = parse("fn f() { w(Pte::empty().0, \"Pte\"); }");
+        let i = p.toks.iter().position(|t| t.is_ident("Pte")).unwrap();
+        assert!(seq_at(&p.toks, i, &["Pte", ":", ":", "empty"]));
+        assert!(!seq_at(&p.toks, i, &["Pte", ":", ":", "DIRTY"]));
+        assert!(
+            !seq_at(&p.toks, p.toks.len() - 1, &["}", "}"]),
+            "runs off the end"
+        );
+    }
+
+    #[test]
+    fn test_regions_cover_the_annotated_item_only() {
+        let p = parse("#[cfg(test)]\n#[allow(x)]\nfn helper(b: [u8; 4]) { HashMap }\nfn live() { HashSet }\n#[cfg(test)]\nmod tests;\nuse HashSet;");
+        let masked: Vec<&str> = p
+            .toks
+            .iter()
+            .zip(&p.in_test)
+            .filter(|(t, &m)| m && t.kind == TokKind::Ident)
+            .map(|(t, _)| t.text.as_str())
+            .collect();
+        assert_eq!(
+            masked,
+            vec![
+                "cfg", "test", "allow", "x", "fn", "helper", "b", "u8", "HashMap", "cfg", "test",
+                "mod", "tests"
+            ]
+        );
     }
 }

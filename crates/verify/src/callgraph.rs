@@ -6,10 +6,9 @@
 //! for reachability queries of the form "does this handler eventually
 //! charge the cost model": false *negatives* (a missed edge hiding a real
 //! charge) would produce noise findings, while the occasional false edge
-//! merely makes the lint a little more forgiving. The rules that need the
-//! opposite bias (shootdown-completeness) query against a closed set of
-//! blessed callee names, where the same over-approximation is harmless
-//! because the names are unique in the workspace.
+//! merely makes the lint a little more forgiving. The typestate protocols
+//! need the opposite bias and resolve through
+//! [`CallGraph::names_reaching_strict`] instead.
 //!
 //! Calls to names with no workspace definition (std, shims) are treated as
 //! leaves: they satisfy a reachability query only if the *name itself*
@@ -109,39 +108,15 @@ impl CallGraph {
         self.by_name.get(name).map_or(&[], Vec::as_slice)
     }
 
-    /// True when `from` can reach a call whose *name* satisfies `target`,
-    /// walking through workspace definitions breadth-first. The start
-    /// node's own callee names are tested too, so a direct `charge(..)`
-    /// call satisfies `|n| n == "charge"` without needing a definition.
-    pub fn reaches(&self, from: NodeId, target: &dyn Fn(&str) -> bool) -> bool {
-        let mut seen: BTreeSet<NodeId> = BTreeSet::new();
-        let mut work = vec![from];
-        seen.insert(from);
-        while let Some(id) = work.pop() {
-            for callee in &self.nodes[id].callees {
-                if target(callee) {
-                    return true;
-                }
-                for &next in self.nodes_named(callee) {
-                    if seen.insert(next) {
-                        work.push(next);
-                    }
-                }
-            }
-        }
-        false
-    }
-
     /// The set of function *names* that transitively reach a call named
     /// `leaf` — computed as a reverse fixpoint so rules can test call sites
     /// in O(log n). The name `leaf` itself is a member.
-    pub fn names_reaching(&self, leaf: &str, files: &[ParsedFile]) -> BTreeSet<String> {
+    pub fn names_reaching(&self, leaf: &str) -> BTreeSet<String> {
         // Seed: every fn whose body directly mentions a call named `leaf`.
         let mut member: BTreeSet<String> = BTreeSet::new();
         member.insert(leaf.to_string());
         // Fixpoint over nodes: a fn joins when any callee name is a member.
         // Iterate until no change; the graph is small (a few hundred fns).
-        let _ = files;
         loop {
             let mut changed = false;
             for node in &self.nodes {
@@ -246,10 +221,12 @@ mod tests {
              fn helper(&mut self) { self.ctx.charge(1, 2); }\n\
              fn idle(&self) { nothing(); }\n",
         )]);
-        let h = g.nodes_named("handle_x")[0];
-        assert!(g.reaches(h, &|n| n == "charge"));
-        let idle = g.nodes_named("idle")[0];
-        assert!(!g.reaches(idle, &|n| n == "charge"));
+        let set = g.names_reaching("charge");
+        assert!(
+            set.contains("handle_x") && set.contains("helper"),
+            "{set:?}"
+        );
+        assert!(!set.contains("idle"));
     }
 
     #[test]
@@ -258,8 +235,7 @@ mod tests {
             ("guest", "fn teardown(&mut self) { self.broadcast(); }"),
             ("guest", "fn broadcast(&self) { shootdown_all(); }"),
         ]);
-        let t = g.nodes_named("teardown")[0];
-        assert!(g.reaches(t, &|n| n == "shootdown_all"));
+        assert!(g.names_reaching("shootdown_all").contains("teardown"));
     }
 
     #[test]
@@ -281,19 +257,18 @@ mod tests {
             "fn caller(&mut self) { self.r#loop(); }\n\
              fn r#loop(&mut self) { ctx.charge(1, 2); }\n",
         )]);
-        let c = g.nodes_named("caller")[0];
         assert!(g.nodes_named("r#loop").is_empty(), "names must be normalized");
         assert_eq!(g.nodes_named("loop").len(), 1);
-        assert!(g.reaches(c, &|n| n == "charge"));
+        assert!(g.names_reaching("charge").contains("caller"));
     }
 
     #[test]
     fn names_reaching_fixpoint() {
-        let (files, g) = graph(&[(
+        let (_, g) = graph(&[(
             "guest",
             "fn a() { b(); }\nfn b() { c(); }\nfn c() { ctx.charge(); }\nfn d() { puts(); }\n",
         )]);
-        let set = g.names_reaching("charge", &files);
+        let set = g.names_reaching("charge");
         for n in ["charge", "a", "b", "c"] {
             assert!(set.contains(n), "{n} missing: {set:?}");
         }
@@ -330,7 +305,7 @@ mod tests {
             "ambiguous `new` must not bridge: {strict:?}"
         );
         // The permissive variant does bridge — that contrast is the point.
-        let loose = g2.names_reaching("note_guest_dirty_cleared", &files2);
+        let loose = g2.names_reaching("note_guest_dirty_cleared");
         assert!(loose.contains("via_new"));
         let _ = g;
     }

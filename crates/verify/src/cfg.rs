@@ -13,7 +13,8 @@
 //!   as an [`Ev::Arm`] event, so protocols can transition on "entered the
 //!   `GuestBufferFull` arm";
 //! - `for`/`while`/`loop` with back edges and the zero-iteration path;
-//! - early `return` (classified error-shaped or success by payload),
+//! - early `return` and tail expressions (classified error-shaped or
+//!   success by payload, see [`range_err_shaped`]),
 //!   `break`/`continue` against an explicit loop stack, and
 //!   `let .. else { .. }` divergent arms;
 //! - fault-injection exemption: a branch arm whose condition (or match
@@ -31,7 +32,6 @@
 
 use crate::ast::{calls_in, FnItem, ParsedFile, NO_MATCH};
 use crate::lexer::{Tok, TokKind};
-use crate::rules::{find_block, match_arms};
 
 /// One event inside a block, in source order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +49,8 @@ pub enum ExitKind {
     /// A success exit: plain `return`, `return Ok(..)`, or the implicit
     /// fall-through at the end of the body.
     Ok,
-    /// An error-shaped exit (`return Err(..)` / `None` / `*Invalid*`).
+    /// An error-shaped exit (`return Err(..)` / `None` / `*Invalid*`, or a
+    /// fall-through whose tail expression has that shape).
     Err,
 }
 
@@ -71,6 +72,9 @@ pub struct Block {
     pub exempt: bool,
     /// Set when control leaves the function after this block's events.
     pub exit: Option<Exit>,
+    /// True when the block ends in an error-shaped tail expression, so a
+    /// fall-through exit from it is an error exit.
+    pub err_tail: bool,
 }
 
 /// A per-function CFG. Block 0 is the entry.
@@ -92,23 +96,14 @@ impl Cfg {
         let entry = b.new_block(false);
         let opens = b.seq(open + 1, close, vec![entry], false);
         for id in opens {
-            b.blocks[id].exit = Some(Exit {
-                kind: ExitKind::Ok,
-                site: close,
-            });
+            let kind = if b.blocks[id].err_tail {
+                ExitKind::Err
+            } else {
+                ExitKind::Ok
+            };
+            b.blocks[id].exit = Some(Exit { kind, site: close });
         }
         Some(Cfg { blocks: b.blocks })
-    }
-
-    /// Predecessor lists, derived from [`Block::succs`].
-    pub fn preds(&self) -> Vec<Vec<usize>> {
-        let mut p = vec![Vec::new(); self.blocks.len()];
-        for (i, blk) in self.blocks.iter().enumerate() {
-            for &s in &blk.succs {
-                p[s].push(i);
-            }
-        }
-        p
     }
 }
 
@@ -176,7 +171,10 @@ impl Builder<'_> {
                     continue;
                 }
             }
-            if self.toks[i].is_ident("for") || self.toks[i].is_ident("while") || self.toks[i].is_ident("loop") {
+            if self.toks[i].is_ident("for")
+                || self.toks[i].is_ident("while")
+                || self.toks[i].is_ident("loop")
+            {
                 if let Some((open, close)) = find_block(self.toks, self.matching, i + 1, hi) {
                     opens = self.loop_stmt(i, open, close, &opens, exempt);
                     i = close + 1;
@@ -185,7 +183,8 @@ impl Builder<'_> {
             }
             // Bare `{ .. }` / `unsafe { .. }` block: inline its sequence.
             if self.toks[i].is_open('{')
-                || (self.toks[i].is_ident("unsafe") && self.toks.get(i + 1).is_some_and(|t| t.is_open('{')))
+                || (self.toks[i].is_ident("unsafe")
+                    && self.toks.get(i + 1).is_some_and(|t| t.is_open('{')))
             {
                 let open = if self.toks[i].is_open('{') { i } else { i + 1 };
                 let close = self.matching[open];
@@ -210,18 +209,26 @@ impl Builder<'_> {
                 }
             }
             let end = i.min(hi);
-            if i < hi {
+            let tail = i >= hi;
+            if !tail {
                 i += 1; // consume `;`
             }
-            opens = self.plain_stmt(start, end, opens, exempt);
+            opens = self.plain_stmt(start, end, opens, exempt, tail);
         }
         opens
     }
 
     /// A plain statement: handles `let .. else`, top-level `return`,
     /// `break`, and `continue`; everything else is one event-carrying
-    /// block.
-    fn plain_stmt(&mut self, lo: usize, hi: usize, opens: Vec<usize>, exempt: bool) -> Vec<usize> {
+    /// block. `tail` marks a block's final expression (no `;`).
+    fn plain_stmt(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        opens: Vec<usize>,
+        exempt: bool,
+        tail: bool,
+    ) -> Vec<usize> {
         // `let PAT = expr else { .. };` — the else arm diverges.
         if self.toks[lo].is_ident("let") {
             if let Some((e_open, e_close)) = self.let_else_block(lo, hi) {
@@ -270,6 +277,7 @@ impl Builder<'_> {
             }
             return Vec::new();
         }
+        self.blocks[b].err_tail = tail && range_err_shaped(self.toks, lo, hi);
         vec![b]
     }
 
@@ -286,7 +294,8 @@ impl Builder<'_> {
                 i = m + 1;
                 continue;
             }
-            if self.toks[i].is_ident("else") && self.toks.get(i + 1).is_some_and(|t| t.is_open('{')) {
+            if self.toks[i].is_ident("else") && self.toks.get(i + 1).is_some_and(|t| t.is_open('{'))
+            {
                 let close = self.matching[i + 1];
                 if close != NO_MATCH && close < hi.max(close) {
                     return Some((i + 1, close));
@@ -321,7 +330,13 @@ impl Builder<'_> {
     /// own block (events in conditions are ordered before the arms), each
     /// arm is a sub-sequence, and a missing trailing `else` leaves the last
     /// condition block open.
-    fn if_chain(&mut self, i: usize, hi: usize, opens: &[usize], exempt: bool) -> (usize, Vec<usize>) {
+    fn if_chain(
+        &mut self,
+        i: usize,
+        hi: usize,
+        opens: &[usize],
+        exempt: bool,
+    ) -> (usize, Vec<usize>) {
         let mut out: Vec<usize> = Vec::new();
         let mut prev: Vec<usize> = opens.to_vec();
         let mut j = i;
@@ -393,7 +408,14 @@ impl Builder<'_> {
     /// back edge; the head also exits to the after block (zero-iteration
     /// path — `loop` gets the same shape, which over-approximates "may
     /// leave", the forgiving direction).
-    fn loop_stmt(&mut self, i: usize, open: usize, close: usize, opens: &[usize], exempt: bool) -> Vec<usize> {
+    fn loop_stmt(
+        &mut self,
+        i: usize,
+        open: usize,
+        close: usize,
+        opens: &[usize],
+        exempt: bool,
+    ) -> Vec<usize> {
         let head = self.block_after(opens, exempt);
         self.push_calls(head, i + 1, open);
         let after = self.new_block(exempt);
@@ -418,23 +440,130 @@ impl Builder<'_> {
     }
 }
 
-/// True when a `return` payload (or tail range) is error-shaped: the first
-/// meaningful ident is `Err`/`None`, or any ident mentions `Invalid`. A
-/// bare `return`/`Ok(..)` is a success.
+/// True when a `return` payload or tail expression is error-shaped: any
+/// ident containing `Invalid` (a guard rejection, even as
+/// `Ok(HypercallResult::Invalid)`) makes it one; otherwise the first of
+/// `Err`/`None`/`Ok`/`Some` decides. A bare `return` is a success.
 pub fn range_err_shaped(toks: &[Tok], lo: usize, hi: usize) -> bool {
-    let hi = hi.min(toks.len());
-    for t in &toks[lo..hi] {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        if t.text == "Err" || t.text == "None" || t.text.contains("Invalid") {
-            return true;
-        }
-        if t.text == "Ok" || t.text == "Some" {
-            return false;
+    let mut idents = toks[lo..hi.min(toks.len())]
+        .iter()
+        .filter(|t| t.kind == TokKind::Ident)
+        .map(|t| t.text.as_str());
+    if idents.clone().any(|t| t.contains("Invalid")) {
+        return true;
+    }
+    idents
+        .find(|t| matches!(*t, "Err" | "None" | "Ok" | "Some"))
+        .is_some_and(|t| t == "Err" || t == "None")
+}
+
+/// Finds the first `{..}` block at the current nesting level starting from
+/// `from`, skipping `(..)`/`[..]` groups (so `if let Some(x) = f(y) { .. }`
+/// lands on the body, not a paren). Returns `(open, close)` token indices.
+fn find_block(toks: &[Tok], matching: &[usize], from: usize, hi: usize) -> Option<(usize, usize)> {
+    let mut i = from;
+    while i < hi.min(toks.len()) {
+        match toks[i].kind {
+            TokKind::Open if toks[i].is_open('{') => {
+                let m = matching[i];
+                if m == NO_MATCH {
+                    return None;
+                }
+                return Some((i, m));
+            }
+            TokKind::Open => {
+                let m = matching[i];
+                if m == NO_MATCH {
+                    return None;
+                }
+                i = m + 1;
+            }
+            _ => i += 1,
         }
     }
-    false
+    None
+}
+
+/// One `match` arm: pattern and body token ranges (body excludes braces
+/// when it is a block).
+#[derive(Debug)]
+struct Arm {
+    pub pat_lo: usize,
+    pub pat_hi: usize,
+    pub body_lo: usize,
+    pub body_hi: usize,
+}
+
+/// Splits the interior of a `match` block (brace at `open`) into arms. The
+/// body of a `pat => { block }` arm is the block interior; an expression
+/// arm runs to the `,` at arm level (or the closing brace).
+fn match_arms(toks: &[Tok], matching: &[usize], open: usize) -> Vec<Arm> {
+    let close = matching[open];
+    if close == NO_MATCH {
+        return Vec::new();
+    }
+    let mut arms = Vec::new();
+    let mut i = open + 1;
+    while i < close {
+        let pat_lo = i;
+        // Scan to `=>` at arm level.
+        let mut j = i;
+        let mut found = false;
+        while j < close {
+            if toks[j].kind == TokKind::Open {
+                let m = matching[j];
+                if m == NO_MATCH || m > close {
+                    break;
+                }
+                j = m + 1;
+            } else if toks[j].is_punct('=') && toks.get(j + 1).is_some_and(|t| t.is_punct('>')) {
+                found = true;
+                break;
+            } else {
+                j += 1;
+            }
+        }
+        if !found {
+            break;
+        }
+        let pat_hi = j;
+        let mut k = j + 2;
+        let (body_lo, body_hi, next) = if k < close && toks[k].is_open('{') {
+            let m = matching[k];
+            if m == NO_MATCH || m > close {
+                break;
+            }
+            let mut n = m + 1;
+            if n < close && toks[n].is_punct(',') {
+                n += 1;
+            }
+            (k + 1, m, n)
+        } else {
+            let body_lo = k;
+            while k < close && !toks[k].is_punct(',') {
+                if toks[k].kind == TokKind::Open {
+                    let m = matching[k];
+                    if m == NO_MATCH || m > close {
+                        k = close;
+                        break;
+                    }
+                    k = m + 1;
+                } else {
+                    k += 1;
+                }
+            }
+            let body_hi = k;
+            (body_lo, body_hi, (k + 1).min(close))
+        };
+        arms.push(Arm {
+            pat_lo,
+            pat_hi,
+            body_lo,
+            body_hi,
+        });
+        i = next.max(pat_lo + 1);
+    }
+    arms
 }
 
 #[cfg(test)]
@@ -473,7 +602,11 @@ mod tests {
     #[test]
     fn early_return_err_is_an_error_exit() {
         let (_, c) = cfg_of("if bad { return Err(E::X); } a();");
-        let kinds: Vec<ExitKind> = c.blocks.iter().filter_map(|b| b.exit.map(|e| e.kind)).collect();
+        let kinds: Vec<ExitKind> = c
+            .blocks
+            .iter()
+            .filter_map(|b| b.exit.map(|e| e.kind))
+            .collect();
         assert!(kinds.contains(&ExitKind::Err), "{kinds:?}");
         assert!(kinds.contains(&ExitKind::Ok));
     }
@@ -482,14 +615,13 @@ mod tests {
     fn if_without_else_keeps_fallthrough_path() {
         // Path that skips the arm must exist: entry → cond → tail.
         let (p, c) = cfg_of("if x { a(); } b();");
-        // The block holding b() must have ≥ 2 in-edges... via cond both ways.
-        let preds = c.preds();
+        // The block holding b() must have an in-edge.
         let b_block = c
             .blocks
             .iter()
             .position(|blk| call_names(&p, blk).contains(&"b"))
             .unwrap();
-        assert!(!preds[b_block].is_empty());
+        assert!(c.blocks.iter().any(|blk| blk.succs.contains(&b_block)));
         // The cond block reaches b() both through the arm and directly.
         let cond = c
             .blocks
@@ -525,7 +657,10 @@ mod tests {
             .expect("loop head");
         // Some block in the body chain must edge back to the head.
         assert!(
-            c.blocks.iter().enumerate().any(|(i, b)| i != head && b.succs.contains(&head)),
+            c.blocks
+                .iter()
+                .enumerate()
+                .any(|(i, b)| i != head && b.succs.contains(&head)),
             "no back edge"
         );
         // b() is reachable without entering the body (via the after block).
@@ -573,22 +708,71 @@ mod tests {
     fn break_edges_to_loop_exit() {
         let (p, c) = cfg_of("loop { if done { break; } a(); } b();");
         // b() must be reachable: find it and confirm it has an in-edge.
-        let preds = c.preds();
         let b_block = c
             .blocks
             .iter()
             .position(|blk| call_names(&p, blk).contains(&"b"))
             .unwrap();
-        assert!(!preds[b_block].is_empty(), "break must reach the loop exit");
+        assert!(
+            c.blocks.iter().any(|blk| blk.succs.contains(&b_block)),
+            "break must reach the loop exit"
+        );
     }
 
     #[test]
     fn err_shape_classifier() {
-        let p = ParsedFile::parse("x", "crates/x/src/a.rs", "fn f() { return Err(Errno::EINVAL); }");
+        let p = ParsedFile::parse(
+            "x",
+            "crates/x/src/a.rs",
+            "fn f() { return Err(Errno::EINVAL); }",
+        );
         let r = p.toks.iter().position(|t| t.is_ident("return")).unwrap();
         assert!(range_err_shaped(&p.toks, r + 1, p.toks.len()));
-        let p2 = ParsedFile::parse("x", "crates/x/src/a.rs", "fn f() { return Ok(()); }");
-        let r2 = p2.toks.iter().position(|t| t.is_ident("return")).unwrap();
-        assert!(!range_err_shaped(&p2.toks, r2 + 1, p2.toks.len()));
+        let shaped = |payload: &str| {
+            let p = ParsedFile::parse("x", "crates/x/src/a.rs", payload);
+            range_err_shaped(&p.toks, 0, p.toks.len())
+        };
+        assert!(!shaped("Ok(())"));
+        assert!(!shaped("Ok(Some(x))"));
+        assert!(!shaped(""), "a bare return is a success");
+        // The first of Err/None/Ok/Some decides: `Ok(None)` is a success.
+        assert!(!shaped("Ok(None)"));
+        assert!(shaped("None"));
+        // Any `Invalid` ident is a guard rejection, wherever it sits.
+        assert!(shaped("Ok(HypercallResult::Invalid)"));
+    }
+
+    #[test]
+    fn err_shaped_tail_expressions_are_error_exits() {
+        let (_, c) = cfg_of("if bad { Err(E::X) } else { Ok(()) }");
+        let mut kinds: Vec<ExitKind> = c
+            .blocks
+            .iter()
+            .filter_map(|b| b.exit.map(|e| e.kind))
+            .collect();
+        kinds.sort_by_key(|k| *k == ExitKind::Ok);
+        assert_eq!(kinds, vec![ExitKind::Err, ExitKind::Ok]);
+        // A statement ending in `;` is not a tail, whatever it mentions.
+        let (_, c) = cfg_of("self.set(None);");
+        assert!(c
+            .blocks
+            .iter()
+            .all(|b| b.exit.is_none_or(|e| e.kind == ExitKind::Ok)));
+    }
+
+    #[test]
+    fn match_arms_split_expr_and_block_bodies() {
+        let (p, _) =
+            cfg_of("match x { A { q } => f(q), B(z) if z > 0 => { g(); h(); } _ => i(), }");
+        let m = p.toks.iter().position(|t| t.is_ident("match")).unwrap();
+        let open = (m..p.toks.len()).find(|&i| p.toks[i].is_open('{')).unwrap();
+        let arms = match_arms(&p.toks, &p.matching, open);
+        assert_eq!(arms.len(), 3, "{arms:?}");
+        // Pattern of the second arm includes the guard.
+        let pat: Vec<&str> = p.toks[arms[1].pat_lo..arms[1].pat_hi]
+            .iter()
+            .map(|t| t.text.as_str())
+            .collect();
+        assert!(pat.contains(&"if"), "{pat:?}");
     }
 }

@@ -1,9 +1,8 @@
-//! A small dataflow framework over [`crate::cfg::Cfg`]: fixpoint
+//! A small dataflow framework over [`crate::cfg::Cfg`]: forward fixpoint
 //! iteration with a lattice join over paths. The typestate engine
-//! ([`crate::typestate`]) instantiates it forward with a powerset-of-
-//! protocol-states bitmask; the backward direction exists for
-//! reachability-style queries ("can this block still reach a notify
-//! event") and to keep the framework honest about being one.
+//! ([`crate::typestate`]) instantiates it with a powerset-of-protocol-states
+//! bitmask, `cost-coverage` ([`crate::rules::cost`]) with a bitmask of
+//! charged/uncharged facts.
 //!
 //! Determinism: the worklist is a monotone round-robin over block ids, so
 //! the fixpoint — and therefore every finding derived from it — depends
@@ -73,48 +72,6 @@ pub fn forward<L: Lattice>(
     (inp, out)
 }
 
-/// Backward fixpoint: `out[b] = ⊔ in[s]` over successors (exit blocks are
-/// seeded with `exit_init`), `in[b] = transfer(b, out[b])`. Returns
-/// `(in_states, out_states)`.
-pub fn backward<L: Lattice>(
-    cfg: &Cfg,
-    exit_init: L,
-    mut transfer: impl FnMut(usize, &L) -> L,
-) -> (Vec<L>, Vec<L>) {
-    let n = cfg.blocks.len();
-    let mut inp = vec![L::bottom(); n];
-    let mut out = vec![L::bottom(); n];
-    let preds = cfg.preds();
-    for (b, blk) in cfg.blocks.iter().enumerate() {
-        if blk.exit.is_some() {
-            out[b] = exit_init.clone();
-        }
-    }
-    let mut dirty = vec![true; n];
-    let mut any = true;
-    while any {
-        any = false;
-        for b in (0..n).rev() {
-            if !dirty[b] {
-                continue;
-            }
-            dirty[b] = false;
-            let new_in = transfer(b, &out[b]);
-            if new_in == inp[b] {
-                continue;
-            }
-            inp[b] = new_in;
-            for &p in &preds[b] {
-                if out[p].join(&inp[b]) {
-                    dirty[p] = true;
-                    any = true;
-                }
-            }
-        }
-    }
-    (inp, out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,13 +133,5 @@ mod tests {
         // The loop-after block must see both "never iterated" and "saw set".
         let exit = c.blocks.iter().position(|b| b.exit.is_some()).unwrap();
         assert_eq!(out[exit] & 3, 3, "{out:?}");
-    }
-
-    #[test]
-    fn backward_liveness_of_exit_fact() {
-        let (_, c) = cfg_of("a(); if x { return; } b();");
-        // Seed exits with bit 0; every block should see it flowing back.
-        let (inp, _) = backward(&c, 1u32, |_, out| *out);
-        assert_eq!(inp[0], 1, "entry must reach an exit");
     }
 }

@@ -10,33 +10,33 @@
 //! run inside `cargo test -q` (see `tests/verify_lint.rs` at the workspace
 //! root) and as a standalone binary (`cargo run -p ooh-verify`).
 //!
-//! The scanner is deliberately dependency-free, built in layers (all in
-//! this crate):
+//! The scanner is deliberately dependency-free, built as one path —
+//! tokens, then per-function control-flow graphs, then typestate — in
+//! layers (all in this crate):
 //!
-//! - [`lexer`] — a real Rust lexer producing a token stream with spans and
-//!   a masked copy of the source (comments/literals blanked, layout
-//!   preserved) in one pass; it understands raw strings, byte strings with
-//!   escapes, nested block comments, and char-literal/lifetime ambiguity;
+//! - [`lexer`] — a real Rust lexer producing a token stream with spans; it
+//!   understands raw strings, byte strings with escapes, nested block
+//!   comments, and char-literal/lifetime ambiguity. The token rules
+//!   (`det-*`, `arch-phys`, `arch-panic`) match token sequences on it;
 //! - [`ast`] — a lightweight item parser: `fn` items with body token
-//!   ranges, balanced-delimiter matching, call/method/macro sites;
+//!   ranges, balanced-delimiter matching, per-token `#[cfg(test)]`
+//!   regions, call/method/macro sites;
 //! - [`callgraph`] — a workspace-wide name-based call graph with
 //!   reachability from the registered entry points (vmexit dispatch,
 //!   hypercall table, tracker collect/drain, shootdown broadcasts);
-//! - [`rules`] — the flow rules (`cost-coverage`, `shootdown-complete`,
-//!   `ordered-iter`) on top of the graph, plus the ported token rules
-//!   below;
-//! - [`cfg`] — per-function control-flow graphs recovered from the token
-//!   stream (branches, loops, match arms, early returns), with
-//!   fault-injection arms (`mutate_*` conditions) marked exempt;
+//! - [`mod@cfg`] — per-function control-flow graphs recovered from the token
+//!   stream (branches, loops, match arms, early returns, error-shaped
+//!   exits), with fault-injection arms (`mutate_*` conditions) marked
+//!   exempt;
 //! - [`dataflow`] — a small forward/backward fixpoint framework with a
 //!   lattice join over paths;
+//! - [`rules`] — `cost-coverage` (a forward "charged" dataflow over the
+//!   CFGs of the strict-tier handlers, call-graph reachability for the
+//!   weak tier) and `ordered-iter`;
 //! - [`typestate`] — lifecycle protocols (PML pairing, drain-before-clear,
-//!   ring overflow guards, the EPML self-IPI obligation) as state machines
-//!   over call events, checked per-path over the CFGs; findings carry a
-//!   step-by-step protocol trace;
-//! - [`cache`] — a content-hash memo of the whole-workspace report, so
-//!   warm reruns with unchanged inputs replay byte-identically without
-//!   re-analyzing;
+//!   ring overflow guards, the EPML self-IPI obligation, demotion and PTE
+//!   downgrade shootdowns) as state machines over call events, checked
+//!   per-path over the CFGs; findings carry a step-by-step protocol trace;
 //! - [`sarif`] — JSON and SARIF 2.1.0 emitters for the report (the text
 //!   form is [`Violation`]'s `Display`; traces become `codeFlows`).
 //!
@@ -61,7 +61,6 @@
 #![forbid(unsafe_code)]
 
 pub mod ast;
-pub mod cache;
 pub mod callgraph;
 pub mod cfg;
 pub mod dataflow;
@@ -113,9 +112,10 @@ pub struct RuleInfo {
     pub help: &'static str,
 }
 
-/// Every lint rule. `cost-coverage`, `shootdown-complete`, and
-/// `ordered-iter` are the call-graph flow rules (see [`rules`]);
-/// `cost-coverage` replaces v1's token-level `arch-cost`.
+/// Every lint rule. `cost-coverage` and `ordered-iter` are the flow rules
+/// (see [`rules`]; `cost-coverage` replaces v1's token-level `arch-cost`),
+/// `shootdown-complete` and the rules after `ordered-iter` up to
+/// `stale-allow` are [`typestate`] protocols.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "det-time",
@@ -275,6 +275,29 @@ impl fmt::Display for Violation {
     }
 }
 
+impl Violation {
+    /// A finding anchored at token `tok` of `file`, without a trace.
+    pub(crate) fn at(
+        file: &ParsedFile,
+        tok: usize,
+        rule: &'static str,
+        message: String,
+        hint: &str,
+    ) -> Violation {
+        let t = &file.toks[tok];
+        Violation {
+            rule,
+            path: file.rel_path.clone(),
+            line: t.line,
+            col: t.col,
+            excerpt: file.raw_line(t.line),
+            message,
+            hint: hint.to_string(),
+            trace: Vec::new(),
+        }
+    }
+}
+
 /// Result of a full workspace scan.
 #[derive(Debug, Default)]
 pub struct Report {
@@ -381,9 +404,7 @@ impl Allowlist {
         for e in &self.entries {
             if (e.rule == rule || e.rule == "*")
                 && path.ends_with(&e.path_suffix)
-                && e.substring
-                    .as_deref()
-                    .is_none_or(|s| raw_line.contains(s))
+                && e.substring.as_deref().is_none_or(|s| raw_line.contains(s))
             {
                 e.used.set(true);
                 return Permit::Entry;
@@ -419,129 +440,6 @@ pub fn prune_stale(allow_text: &str, stale_lines: &BTreeSet<usize>) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Source masking: blank out comments and string literals, preserving layout
-// ---------------------------------------------------------------------------
-
-/// Returns a copy of `src` (same char count, same newlines) where the
-/// contents of comments, string literals, and char literals are replaced by
-/// spaces. Token searches on the result cannot hit documentation or message
-/// text. This is the [`lexer`]'s masked output: line/nested-block comments,
-/// escapes (including in byte strings — a v1 blind spot), raw (byte)
-/// strings with any hash depth, and char-literal/lifetime disambiguation
-/// all come from the real lexer rather than a parallel state machine.
-pub fn mask_source(src: &str) -> String {
-    lexer::lex(src).masked
-}
-
-// ---------------------------------------------------------------------------
-// #[cfg(test)] region detection
-// ---------------------------------------------------------------------------
-
-/// Returns a per-char boolean mask over the masked source marking regions
-/// guarded by `#[cfg(test)]` (the attribute itself through the matching
-/// closing brace of the item it annotates). Token hits inside these regions
-/// are exempt from all rules.
-pub fn test_regions(masked: &str) -> Vec<bool> {
-    let chars: Vec<char> = masked.chars().collect();
-    let mut in_test = vec![false; chars.len()];
-    let needle: Vec<char> = "#[cfg(test)]".chars().collect();
-    let mut i = 0;
-    while i + needle.len() <= chars.len() {
-        if chars[i..i + needle.len()] == needle[..] {
-            let start = i;
-            let mut j = i + needle.len();
-            // Skip further attributes and whitespace to the item body. If we
-            // hit a `;` before any `{`, the item has no body (e.g. `#[cfg(test)]
-            // mod tests;`) — mark just through the `;`.
-            let mut end = None;
-            while j < chars.len() {
-                match chars[j] {
-                    '{' => {
-                        let mut depth = 0usize;
-                        while j < chars.len() {
-                            match chars[j] {
-                                '{' => depth += 1,
-                                '}' => {
-                                    depth -= 1;
-                                    if depth == 0 {
-                                        end = Some(j + 1);
-                                        break;
-                                    }
-                                }
-                                _ => {}
-                            }
-                            j += 1;
-                        }
-                        break;
-                    }
-                    ';' => {
-                        end = Some(j + 1);
-                        break;
-                    }
-                    _ => j += 1,
-                }
-            }
-            let end = end.unwrap_or(chars.len());
-            for flag in &mut in_test[start..end] {
-                *flag = true;
-            }
-            i = end;
-        } else {
-            i += 1;
-        }
-    }
-    in_test
-}
-
-// ---------------------------------------------------------------------------
-// Token search helpers
-// ---------------------------------------------------------------------------
-
-fn is_ident_char(c: char) -> bool {
-    c.is_alphanumeric() || c == '_'
-}
-
-/// Finds char offsets where `needle` occurs in `haystack` as a whole token
-/// (not embedded in a longer identifier on either side).
-fn find_tokens(haystack: &[char], needle: &str) -> Vec<usize> {
-    let nd: Vec<char> = needle.chars().collect();
-    let mut hits = Vec::new();
-    if nd.is_empty() || haystack.len() < nd.len() {
-        return hits;
-    }
-    for i in 0..=haystack.len() - nd.len() {
-        if haystack[i..i + nd.len()] != nd[..] {
-            continue;
-        }
-        let left_ok = i == 0 || !is_ident_char(haystack[i - 1]);
-        let after = i + nd.len();
-        let first = nd[0];
-        let last = nd[nd.len() - 1];
-        let right_ok = after == haystack.len()
-            || !is_ident_char(last)
-            || !is_ident_char(haystack[after]);
-        let left_ok = left_ok || !is_ident_char(first);
-        if left_ok && right_ok {
-            hits.push(i);
-        }
-    }
-    hits
-}
-
-fn line_of(chars: &[char], offset: usize) -> usize {
-    1 + chars[..offset].iter().filter(|&&c| c == '\n').count()
-}
-
-/// 1-based char column of `offset` within its line.
-fn col_of(chars: &[char], offset: usize) -> usize {
-    let line_start = chars[..offset]
-        .iter()
-        .rposition(|&c| c == '\n')
-        .map_or(0, |p| p + 1);
-    offset - line_start + 1
-}
-
-// ---------------------------------------------------------------------------
 // Per-file scan
 // ---------------------------------------------------------------------------
 
@@ -572,10 +470,10 @@ pub fn scan_source(
 /// The scan pipeline over a set of `(crate_name, rel_path, source)` files:
 ///
 /// 1. lex + parse every file ([`ast::ParsedFile`]);
-/// 2. run the token rules per file on the masked source;
+/// 2. run the token rules per file on its token stream;
 /// 3. build the workspace [`CallGraph`] and run the flow rules
-///    (`cost-coverage`, `shootdown-complete`, `ordered-iter`) across all
-///    files at once — cross-file helper calls resolve here;
+///    (`cost-coverage`, `ordered-iter`) and the typestate protocols across
+///    all files at once — cross-file helper calls resolve here;
 /// 4. deduplicate by `(rule, path, line, col)`, filter through the allowlist and
 ///    inline markers, report stale markers, and sort by
 ///    `(path, line, rule, col)`.
@@ -591,7 +489,6 @@ pub fn scan_files(inputs: &[(String, String, String)], allow: &Allowlist) -> Rep
     }
     let graph = CallGraph::build(&parsed);
     raw_hits.extend(rules::cost::check(&parsed, &graph));
-    raw_hits.extend(rules::shootdown::check(&parsed, &graph));
     raw_hits.extend(rules::order::check(&parsed, &graph));
     raw_hits.extend(typestate::check(&parsed, &graph));
 
@@ -625,7 +522,7 @@ pub fn scan_files(inputs: &[(String, String, String)], allow: &Allowlist) -> Rep
         }
     }
     for file in &parsed {
-        for (line, tok) in inline_markers(&file.source, &file.in_test) {
+        for (line, tok) in inline_markers(file) {
             let used = inline_used
                 .iter()
                 .any(|(p, l, r)| p == &file.rel_path && *l == line && (tok == "all" || tok == *r));
@@ -651,34 +548,157 @@ pub fn scan_files(inputs: &[(String, String, String)], allow: &Allowlist) -> Rep
     report
 }
 
+/// A token-sequence rule: every non-test occurrence of `seq` in a crate that
+/// `applies` selects is a finding. Matching is on lexer tokens, so comments
+/// and literal contents never match and spacing (`x . unwrap ( )`) does not
+/// hide a hit.
+struct TokenRule {
+    rule: &'static str,
+    applies: fn(&str) -> bool,
+    /// Token texts to match, in order (`["rand", ":", ":", "random"]`).
+    seq: &'static [&'static str],
+    /// How the finding names the match: `` `<label>` in crate `<c>`: ``.
+    /// The arch-panic labels keep their historical rendering, which the
+    /// lint-corpus goldens pin.
+    label: &'static str,
+    message: &'static str,
+}
+
+fn sim_crate(c: &str) -> bool {
+    SIM_CRATES.contains(&c)
+}
+
+/// Deterministic parallelism: the fan-out drivers (bench binaries) and every
+/// simulation crate may only parallelize through an ordered merge
+/// (`rayon::par_map_ordered`). The unordered iterator tokens all imply a
+/// merge order that depends on thread timing — exactly what the
+/// byte-identical-output tests cannot tolerate.
+fn sim_or_bench_crate(c: &str) -> bool {
+    sim_crate(c) || c == "bench"
+}
+
+fn guest_side_crate(c: &str) -> bool {
+    GUEST_SIDE_CRATES.contains(&c)
+}
+
+fn no_panic_crate(c: &str) -> bool {
+    NO_PANIC_CRATES.contains(&c)
+}
+
+const PAR_MESSAGE: &str =
+    "unordered parallel iteration; use rayon::par_map_ordered (deterministic ordered merge)";
+
+const TOKEN_RULES: &[TokenRule] = &[
+    TokenRule {
+        rule: "det-time",
+        applies: sim_crate,
+        seq: &["Instant"],
+        label: "Instant",
+        message: "wall-clock time via std::time::Instant breaks replayability",
+    },
+    TokenRule {
+        rule: "det-time",
+        applies: sim_crate,
+        seq: &["SystemTime"],
+        label: "SystemTime",
+        message: "wall-clock time via SystemTime breaks replayability",
+    },
+    TokenRule {
+        rule: "det-rand",
+        applies: sim_crate,
+        seq: &["thread_rng"],
+        label: "thread_rng",
+        message: "OS-seeded RNG; use the scenario's seeded PRNG",
+    },
+    TokenRule {
+        rule: "det-rand",
+        applies: sim_crate,
+        seq: &["rand", ":", ":", "random"],
+        label: "rand::random",
+        message: "OS-seeded RNG; use the scenario's seeded PRNG",
+    },
+    TokenRule {
+        rule: "det-hash",
+        applies: sim_crate,
+        seq: &["HashMap"],
+        label: "HashMap",
+        message: "iteration order varies per process; use BTreeMap",
+    },
+    TokenRule {
+        rule: "det-hash",
+        applies: sim_crate,
+        seq: &["HashSet"],
+        label: "HashSet",
+        message: "iteration order varies per process; use BTreeSet",
+    },
+    TokenRule {
+        rule: "det-par",
+        applies: sim_or_bench_crate,
+        seq: &["par_iter"],
+        label: "par_iter",
+        message: PAR_MESSAGE,
+    },
+    TokenRule {
+        rule: "det-par",
+        applies: sim_or_bench_crate,
+        seq: &["into_par_iter"],
+        label: "into_par_iter",
+        message: PAR_MESSAGE,
+    },
+    TokenRule {
+        rule: "det-par",
+        applies: sim_or_bench_crate,
+        seq: &["par_bridge"],
+        label: "par_bridge",
+        message:
+            "unordered parallel bridge; use rayon::par_map_ordered (deterministic ordered merge)",
+    },
+    TokenRule {
+        rule: "arch-phys",
+        applies: guest_side_crate,
+        seq: &["HostPhys"],
+        label: "HostPhys",
+        message: "guest-side code must go through the hypervisor API, not raw host-physical memory",
+    },
+    TokenRule {
+        rule: "arch-panic",
+        applies: no_panic_crate,
+        seq: &[".", "unwrap", "(", ")"],
+        label: ".unwrap())",
+        message: "propagate the error instead of panicking",
+    },
+    TokenRule {
+        rule: "arch-panic",
+        applies: no_panic_crate,
+        seq: &[".", "expect", "("],
+        label: ".expect()",
+        message: "propagate the error instead of panicking",
+    },
+];
+
 /// The per-file token rules (everything that doesn't need the call graph),
 /// pushed as raw hits for [`scan_files`] to filter.
 fn token_rules(file: &ParsedFile, out: &mut Vec<Violation>) {
-    let crate_name = file.crate_name.as_str();
-    if SIM_CRATES.contains(&crate_name) {
-        token_rule(file, out, "det-time", "Instant", "wall-clock time via std::time::Instant breaks replayability");
-        token_rule(file, out, "det-time", "SystemTime", "wall-clock time via SystemTime breaks replayability");
-        token_rule(file, out, "det-rand", "thread_rng", "OS-seeded RNG; use the scenario's seeded PRNG");
-        token_rule(file, out, "det-rand", "rand::random", "OS-seeded RNG; use the scenario's seeded PRNG");
-        token_rule(file, out, "det-hash", "HashMap", "iteration order varies per process; use BTreeMap");
-        token_rule(file, out, "det-hash", "HashSet", "iteration order varies per process; use BTreeSet");
-    }
-    // Deterministic parallelism: the fan-out drivers (bench binaries) and
-    // every simulation crate may only parallelize through an ordered merge
-    // (`rayon::par_map_ordered`). The rayon-style unordered iterator tokens
-    // all imply a merge order that depends on thread timing — exactly what
-    // the byte-identical-output tests cannot tolerate.
-    if SIM_CRATES.contains(&crate_name) || crate_name == "bench" {
-        token_rule(file, out, "det-par", "par_iter", "unordered parallel iteration; use rayon::par_map_ordered (deterministic ordered merge)");
-        token_rule(file, out, "det-par", "into_par_iter", "unordered parallel iteration; use rayon::par_map_ordered (deterministic ordered merge)");
-        token_rule(file, out, "det-par", "par_bridge", "unordered parallel bridge; use rayon::par_map_ordered (deterministic ordered merge)");
-    }
-    if GUEST_SIDE_CRATES.contains(&crate_name) {
-        token_rule(file, out, "arch-phys", "HostPhys", "guest-side code must go through the hypervisor API, not raw host-physical memory");
-    }
-    if NO_PANIC_CRATES.contains(&crate_name) {
-        substr_rule(file, out, "arch-panic", ".unwrap()", "propagate the error instead of panicking");
-        substr_rule(file, out, "arch-panic", ".expect(", "propagate the error instead of panicking");
+    let rules: Vec<&TokenRule> = TOKEN_RULES
+        .iter()
+        .filter(|r| (r.applies)(&file.crate_name))
+        .collect();
+    for i in 0..file.toks.len() {
+        if file.in_test[i] {
+            continue;
+        }
+        for r in rules.iter().filter(|r| ast::seq_at(&file.toks, i, r.seq)) {
+            out.push(Violation::at(
+                file,
+                i,
+                r.rule,
+                format!(
+                    "`{}` in crate `{}`: {}",
+                    r.label, file.crate_name, r.message
+                ),
+                rule_info(r.rule).help,
+            ));
+        }
     }
     feature_gate_rule(file, out);
 }
@@ -688,94 +708,33 @@ fn token_rules(file: &ParsedFile, out: &mut Vec<Violation>) {
 /// does not register: the rule token must be a known rule name (or `all`)
 /// followed by a closing paren — `allow(<rule>)` placeholders in docs fail
 /// this — and the marker must sit in a line comment (a `//` earlier on the
-/// same line), so string literals that mention the syntax don't count.
-fn inline_markers(raw: &str, in_test: &[bool]) -> Vec<(usize, String)> {
-    let chars: Vec<char> = raw.chars().collect();
-    let needle: Vec<char> = "ooh-verify: allow(".chars().collect();
+/// same line), so string literals that mention the syntax don't count. A
+/// marker is in test code when the tokens on both sides of it are.
+fn inline_markers(file: &ParsedFile) -> Vec<(usize, String)> {
+    const NEEDLE: &str = "ooh-verify: allow(";
     let mut out = Vec::new();
-    let mut i = 0;
-    while i + needle.len() <= chars.len() {
-        if chars[i..i + needle.len()] != needle[..] {
-            i += 1;
-            continue;
+    let mut line_pos = 0;
+    for (idx, line) in file.source.split('\n').enumerate() {
+        let mut from = 0;
+        while let Some(hit) = line[from..].find(NEEDLE) {
+            let start = from + hit;
+            let rest = &line[start + NEEDLE.len()..];
+            let tok_len = rest
+                .find(|c: char| !(lexer::is_ident_char(c) || c == '-'))
+                .unwrap_or(rest.len());
+            let tok = &rest[..tok_len];
+            let valid = rest[tok_len..].starts_with(')')
+                && (tok == "all" || RULES.iter().any(|r| r.id == tok));
+            let in_comment = line[..start].contains("//");
+            let pos = line_pos + line[..start].chars().count();
+            if valid && in_comment && !file.pos_in_test(pos) {
+                out.push((idx + 1, tok.to_string()));
+            }
+            from = start + NEEDLE.len();
         }
-        let start = i;
-        let mut j = i + needle.len();
-        let tok_start = j;
-        while j < chars.len() && (is_ident_char(chars[j]) || chars[j] == '-') {
-            j += 1;
-        }
-        let tok: String = chars[tok_start..j].iter().collect();
-        let valid = j < chars.len()
-            && chars[j] == ')'
-            && (tok == "all" || RULES.iter().any(|r| r.id == tok));
-        let line_start = chars[..start]
-            .iter()
-            .rposition(|&c| c == '\n')
-            .map_or(0, |p| p + 1);
-        let in_comment = chars[line_start..start].windows(2).any(|w| w == ['/', '/']);
-        if valid && in_comment && !in_test.get(start).copied().unwrap_or(false) {
-            out.push((line_of(&chars, start), tok));
-        }
-        i = j.max(i + 1);
+        line_pos += line.chars().count() + 1;
     }
     out
-}
-
-fn token_rule(
-    file: &ParsedFile,
-    out: &mut Vec<Violation>,
-    rule: &'static str,
-    needle: &str,
-    message: &str,
-) {
-    for off in find_tokens(&file.masked_chars, needle) {
-        if file.in_test[off] {
-            continue;
-        }
-        let line = line_of(&file.masked_chars, off);
-        out.push(Violation {
-            rule,
-            path: file.rel_path.clone(),
-            line,
-            col: col_of(&file.masked_chars, off),
-            excerpt: file.raw_line(line),
-            message: format!("`{needle}` in crate `{}`: {message}", file.crate_name),
-            hint: rule_info(rule).help.to_string(),
-            trace: Vec::new(),
-        });
-    }
-}
-
-/// Like [`token_rule`] but for needles that start/end with punctuation
-/// (`.unwrap()`), where token boundaries don't apply.
-fn substr_rule(
-    file: &ParsedFile,
-    out: &mut Vec<Violation>,
-    rule: &'static str,
-    needle: &str,
-    message: &str,
-) {
-    let nd: Vec<char> = needle.chars().collect();
-    let hc = &file.masked_chars;
-    if hc.len() < nd.len() {
-        return;
-    }
-    for i in 0..=hc.len() - nd.len() {
-        if hc[i..i + nd.len()] == nd[..] && !file.in_test[i] {
-            let line = line_of(hc, i);
-            out.push(Violation {
-                rule,
-                path: file.rel_path.clone(),
-                line,
-                col: col_of(hc, i),
-                excerpt: file.raw_line(line),
-                message: format!("`{needle})` in crate `{}`: {message}", file.crate_name),
-                hint: rule_info(rule).help.to_string(),
-                trace: Vec::new(),
-            });
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -784,7 +743,7 @@ fn substr_rule(
 
 /// Every function named in [`GATED_HOOKS`] must keep its body behind
 /// `cfg!(feature = "debug-invariants")`. The check is two-part because
-/// masking blanks string literals: the body must contain a `cfg!` macro
+/// literal tokens carry no text: the body must contain a `cfg!` macro
 /// token (the gate exists) and the *raw* body text must contain the
 /// `debug-invariants` feature name (it gates on the right feature).
 fn feature_gate_rule(file: &ParsedFile, out: &mut Vec<Violation>) {
@@ -792,27 +751,27 @@ fn feature_gate_rule(file: &ParsedFile, out: &mut Vec<Violation>) {
         if f.in_test || !GATED_HOOKS.contains(&f.name.as_str()) {
             continue;
         }
-        let Some((open, close)) = f.body else { continue };
-        let has_cfg = file.calls_in(open + 1, close).iter().any(|c| {
-            c.kind == ast::CallKind::Macro && file.toks[c.tok].text == "cfg"
-        });
+        let Some((open, close)) = f.body else {
+            continue;
+        };
+        let has_cfg = file
+            .calls_in(open + 1, close)
+            .iter()
+            .any(|c| c.kind == ast::CallKind::Macro && file.toks[c.tok].text == "cfg");
         let lo = file.toks[open].pos;
         let hi = file.toks[close].pos + 1;
         let raw_body: String = file.source.chars().skip(lo).take(hi - lo).collect();
         if !(has_cfg && raw_body.contains("debug-invariants")) {
-            out.push(Violation {
-                rule: "feature-gate",
-                path: file.rel_path.clone(),
-                line: f.line,
-                col: f.col,
-                excerpt: file.raw_line(f.line),
-                message: format!(
+            out.push(Violation::at(
+                file,
+                f.fn_tok,
+                "feature-gate",
+                format!(
                     "debug hook `{}` must gate its body behind cfg!(feature = \"debug-invariants\")",
                     f.name
                 ),
-                hint: rule_info("feature-gate").help.to_string(),
-                trace: Vec::new(),
-            });
+                rule_info("feature-gate").help,
+            ));
         }
     }
 }
@@ -825,7 +784,7 @@ fn feature_gate_rule(file: &ParsedFile, out: &mut Vec<Violation>) {
 /// the root package and every `crates/*/src/` tree, as deterministic
 /// `(crate_name, rel_path, source)` triples. `tests/`, `benches/`, and
 /// `examples/` directories are integration-test/bench code and exempt by
-/// construction. Shared by [`run`], the [`cache`] layer, and the
+/// construction. Shared by [`run`], the analyzer bench, and the
 /// seeded-mutation driver tests (which swap one file's source before
 /// scanning).
 pub fn collect_inputs(root: &Path) -> io::Result<Vec<(String, String, String)>> {
@@ -925,33 +884,34 @@ mod tests {
     use super::*;
 
     fn scan(crate_name: &str, src: &str) -> Vec<Violation> {
-        scan_source(crate_name, "crates/x/src/lib.rs", src, &Allowlist::default()).0
+        scan_source(
+            crate_name,
+            "crates/x/src/lib.rs",
+            src,
+            &Allowlist::default(),
+        )
+        .0
     }
 
     #[test]
-    fn masks_comments_and_strings() {
-        let src = "let x = \"HashMap\"; // HashMap here\n/* HashMap */ let y = 1;";
-        let m = mask_source(src);
-        assert!(!m.contains("HashMap"));
-        assert!(m.contains("let x ="));
-        assert!(m.contains("let y = 1;"));
-        assert_eq!(m.chars().filter(|&c| c == '\n').count(), 1);
+    fn comments_and_strings_never_match() {
+        let src =
+            "let x = \"HashMap\"; // HashMap here\n/* HashMap */ let y = 1;\nlet z: HashSet<u8>;";
+        let vs = scan("sim", src);
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert_eq!((vs[0].line, vs[0].col), (3, 8));
     }
 
     #[test]
-    fn masks_raw_strings_and_char_literals() {
-        let src = r####"let s = r#"Instant "quoted" inside"#; let c = '"'; let l: &'static str = x;"####;
-        let m = mask_source(src);
-        assert!(!m.contains("Instant"));
-        assert!(!m.contains("quoted"));
-        assert!(m.contains("'static"), "lifetimes survive masking: {m}");
+    fn raw_strings_and_char_literals_never_match() {
+        let src =
+            r####"let s = r#"Instant "quoted" inside"#; let c = '"'; let l: &'static str = x;"####;
+        assert!(scan("sim", src).is_empty());
     }
 
     #[test]
-    fn nested_block_comments() {
-        let m = mask_source("/* a /* HashSet */ b */ fn f() {}");
-        assert!(!m.contains("HashSet"));
-        assert!(m.contains("fn f() {}"));
+    fn nested_block_comments_never_match() {
+        assert!(scan("sim", "/* a /* HashSet */ b */ fn f() {}").is_empty());
     }
 
     #[test]
@@ -998,17 +958,26 @@ mod tests {
     fn flags_unordered_par_iter_in_sim_and_bench_crates() {
         // par_iter / into_par_iter / par_bridge are nondeterministic-merge
         // tokens; the ordered helper is the one blessed spelling.
-        let vs = scan("sim", "fn f(v: &[u64]) { v.par_iter().for_each(|x| work(x)); }");
+        let vs = scan(
+            "sim",
+            "fn f(v: &[u64]) { v.par_iter().for_each(|x| work(x)); }",
+        );
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert_eq!(vs[0].rule, "det-par");
-        let vs = scan("bench", "fn f(v: Vec<u64>) { v.into_par_iter().sum::<u64>(); }");
+        let vs = scan(
+            "bench",
+            "fn f(v: Vec<u64>) { v.into_par_iter().sum::<u64>(); }",
+        );
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert_eq!(vs[0].rule, "det-par");
         let vs = scan("bench", "fn f(it: I) { it.par_bridge().count(); }");
         assert_eq!(vs.len(), 1, "{vs:?}");
         // The deterministic helper passes; `par_iter` inside a longer
         // identifier is not a hit.
-        let vs = scan("bench", "fn f(v: &[u64]) { par_map_ordered(v, 8, |&x| x); }");
+        let vs = scan(
+            "bench",
+            "fn f(v: &[u64]) { par_map_ordered(v, 8, |&x| x); }",
+        );
         assert!(vs.is_empty(), "{vs:?}");
         // Crates outside the simulation/bench set (e.g. the verifier
         // itself) are not covered by the rule.
@@ -1031,8 +1000,44 @@ mod tests {
         let vs = scan("machine", "fn f() { x.unwrap(); y.expect(\"boom\"); }");
         assert_eq!(vs.len(), 2, "{vs:?}");
         assert!(vs.iter().all(|v| v.rule == "arch-panic"));
+        // Whitespace between the tokens hides nothing.
+        let vs = scan(
+            "machine",
+            "fn f() {\n    x . unwrap ( );\n    y\n        . expect (\"boom\");\n}",
+        );
+        let at: Vec<_> = vs.iter().map(|v| (v.rule, v.line, v.col)).collect();
+        assert_eq!(
+            at,
+            vec![("arch-panic", 2, 7), ("arch-panic", 4, 9)],
+            "{vs:?}"
+        );
+        // `unwrap_or` and a bare `unwrap` path are not panics.
+        assert!(scan(
+            "machine",
+            "fn f() { x.unwrap_or(0); let g = Option::unwrap; }"
+        )
+        .is_empty());
         let vs = scan("workloads", "fn f() { x.unwrap(); }");
         assert!(vs.is_empty());
+    }
+
+    #[test]
+    fn flags_os_randomness_in_sim_crates() {
+        let vs = scan(
+            "sim",
+            "fn f() { let a = rand::random(); let b = rand :: random(); thread_rng(); }",
+        );
+        let at: Vec<_> = vs.iter().map(|v| (v.rule, v.col)).collect();
+        assert_eq!(
+            at,
+            vec![("det-rand", 18), ("det-rand", 42), ("det-rand", 60)],
+            "{vs:?}"
+        );
+        assert!(
+            vs[1].message.starts_with("`rand::random` in crate `sim`"),
+            "{vs:?}"
+        );
+        assert!(scan("sim", "fn f() { let a = my_rand::random_walk(); }").is_empty());
     }
 
     #[test]
@@ -1100,9 +1105,9 @@ mod tests {
 
     #[test]
     fn inline_marker_suppresses() {
-        let src = "fn f() { let m = std::collections::HashMap::new(); } // ooh-verify: allow(det-hash)";
-        let (vs, allowed) =
-            scan_source("core", "crates/core/src/x.rs", src, &Allowlist::default());
+        let src =
+            "fn f() { let m = std::collections::HashMap::new(); } // ooh-verify: allow(det-hash)";
+        let (vs, allowed) = scan_source("core", "crates/core/src/x.rs", src, &Allowlist::default());
         assert!(vs.is_empty());
         assert_eq!(allowed, 1);
     }
@@ -1155,7 +1160,10 @@ mod tests {
     #[test]
     fn marker_prose_and_strings_do_not_parse_as_markers() {
         // `<rule>` placeholder in a doc comment: not a valid rule token.
-        let vs = scan("machine", "// suppress with ooh-verify: allow(<rule>)\nfn f() {}\n");
+        let vs = scan(
+            "machine",
+            "// suppress with ooh-verify: allow(<rule>)\nfn f() {}\n",
+        );
         assert!(vs.is_empty(), "{vs:?}");
         // Marker text inside a string literal: no `//` before it.
         let vs = scan(
@@ -1214,7 +1222,8 @@ mod tests {
         let src = "fn check_write_fast_path(&self) -> R {\n    if !cfg!(feature = \"debug-invariants\") { return Ok(()); }\n    self.deep_check()\n}\n";
         assert!(scan("machine", src).is_empty());
         // Gating on the wrong feature does not count.
-        let src = "fn shadow_reset_hyp(&mut self) { if cfg!(feature = \"other\") { self.s.clear(); } }\n";
+        let src =
+            "fn shadow_reset_hyp(&mut self) { if cfg!(feature = \"other\") { self.s.clear(); } }\n";
         let vs = scan("machine", src);
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert_eq!(vs[0].rule, "feature-gate");
@@ -1229,7 +1238,11 @@ mod tests {
     #[test]
     fn real_workspace_is_clean() {
         let report = run(&workspace_root()).expect("workspace scan");
-        assert!(report.files_scanned > 50, "scanned {}", report.files_scanned);
+        assert!(
+            report.files_scanned > 50,
+            "scanned {}",
+            report.files_scanned
+        );
         assert!(
             report.is_clean(),
             "lint violations:\n{}",

@@ -1,5 +1,5 @@
 //! CLI entry point:
-//! `cargo run -p ooh-verify [--prune-stale] [--cache FILE] [--format text|json|sarif] [--output FILE] [workspace-root]`.
+//! `cargo run -p ooh-verify [--prune-stale] [--format text|json|sarif] [--output FILE] [workspace-root]`.
 //!
 //! The default (text) mode prints every violation and exits 1 if any are
 //! found, 0 on a clean tree — suitable for CI and pre-commit hooks, and
@@ -7,11 +7,7 @@
 //! the structured report instead (to stdout, or to `--output FILE`); the
 //! exit code contract is the same in every format. `--prune-stale` rewrites
 //! `verify.allow` without the entries the `stale-allow` rule flagged, then
-//! re-scans and reports on the pruned tree. `--cache FILE` memoizes the
-//! whole-workspace report by content hash (see [`ooh_verify::cache`]):
-//! warm runs with unchanged inputs replay byte-identically without
-//! re-analyzing; cache status goes to stderr so it never perturbs the
-//! report bytes.
+//! re-scans and reports on the pruned tree.
 #![allow(clippy::print_stdout)]
 
 use std::collections::BTreeSet;
@@ -30,18 +26,10 @@ fn main() -> ExitCode {
     let mut prune = false;
     let mut format = Format::Text;
     let mut output: Option<PathBuf> = None;
-    let mut cache: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--prune-stale" => prune = true,
-            "--cache" => {
-                let Some(path) = args.next() else {
-                    eprintln!("ooh-verify: --cache takes a file path");
-                    return ExitCode::from(2);
-                };
-                cache = Some(PathBuf::from(path));
-            }
             "--format" => {
                 format = match args.next().as_deref() {
                     Some("text") => Format::Text,
@@ -68,18 +56,7 @@ fn main() -> ExitCode {
     }
     let root = root.unwrap_or_else(ooh_verify::workspace_root);
 
-    let scan = |note: &str| match &cache {
-        Some(path) => ooh_verify::cache::run_cached(&root, path).map(|(r, warm)| {
-            eprintln!(
-                "ooh-verify: cache {} ({}){note}",
-                if warm { "hit" } else { "miss" },
-                path.display()
-            );
-            r
-        }),
-        None => ooh_verify::run(&root),
-    };
-    let mut report = match scan("") {
+    let mut report = match ooh_verify::run(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("ooh-verify: failed to scan {}: {e}", root.display());
@@ -116,9 +93,8 @@ fn main() -> ExitCode {
                 if stale_lines.len() == 1 { "y" } else { "ies" },
                 allow_path.display()
             );
-            // Report on the tree as it now stands (the prune edited
-            // verify.allow, so a cached scan misses and refreshes).
-            report = match scan(" after prune") {
+            // Report on the tree as it now stands.
+            report = match ooh_verify::run(&root) {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("ooh-verify: failed to re-scan {}: {e}", root.display());

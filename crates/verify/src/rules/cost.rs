@@ -6,15 +6,17 @@
 //!
 //! - **Strict (all success paths)** for the hypervisor's `handle_*` /
 //!   `hypercall` bodies and the guest's `shootdown_page`/`shootdown_all`
-//!   broadcast helpers: a branch-sensitive walk over the segment tree
-//!   checks that every path that returns *successfully* includes a call
-//!   that (transitively, via the call graph) reaches `charge`. Error-shaped
-//!   exits — `?`, `return Err(..)`, `None`, and `HypercallResult::Invalid`
-//!   guard rejections — are exempt: the simulator charges for work done,
-//!   and a rejected hypercall's cost is the vmexit round trip its caller
-//!   already accounted. Each `Hypercall::X => ..` arm of the dispatcher is
-//!   additionally checked on its own, so "added a variant, forgot the
-//!   charge" is caught at the arm, not smeared over the whole function.
+//!   broadcast helpers: a forward "charged" dataflow over the function's
+//!   [`Cfg`] checks that every path reaching a *success* exit includes a
+//!   call that (transitively, via the call graph) reaches `charge`.
+//!   Error-shaped exits — `?`, `return Err(..)`, `None`, and
+//!   `HypercallResult::Invalid` guard rejections, classified by
+//!   [`crate::cfg::range_err_shaped`] — are exempt: the simulator charges
+//!   for work done, and a rejected hypercall's cost is the vmexit round trip
+//!   its caller already accounted. Each `Hypercall::X => ..` arm of the
+//!   dispatcher ([`Ev::Arm`]) is additionally checked on its own, so "added
+//!   a variant, forgot the charge" is caught at the arm, not smeared over
+//!   the whole function.
 //! - **Weak (reaches a charge at all)** for the guest fault/IPI handlers
 //!   and the tracker `collect`/`drain_*` surface in core, where charging
 //!   legitimately lives several calls down (pagemap walks, ring drains)
@@ -34,17 +36,25 @@ use std::collections::BTreeSet;
 
 use crate::ast::ParsedFile;
 use crate::callgraph::CallGraph;
-use crate::rules::{match_arms, split_block, violation_at, Seg};
+use crate::cfg::{Cfg, Ev, ExitKind};
+use crate::dataflow::forward;
 use crate::lexer::TokKind;
 use crate::{Violation, SIM_CRATES};
 
 pub const RULE: &str = "cost-coverage";
 const HINT: &str = "charge the cost model (ctx.charge(lane, event)) on this path, or call a helper that does; suppress with verify.allow if the path is genuinely free";
 
+/// Dataflow fact bits. A path that charged carries only `CHARGED`; bit 0
+/// is an uncharged path outside any tracked arm, bit `1 + k` an uncharged
+/// path since entering the `k`-th tracked `Hypercall::X` arm.
+const CHARGED: u32 = 1 << 31;
+/// Tracked arms per dispatcher (bits 1..=30).
+const MAX_ARMS: usize = 30;
+
 pub fn check(files: &[ParsedFile], graph: &CallGraph) -> Vec<Violation> {
-    let mut charging = graph.names_reaching("charge", files);
+    let mut charging = graph.names_reaching("charge");
     for leaf in ["charge_n", "charge_ns", "charge_n_ns"] {
-        charging.extend(graph.names_reaching(leaf, files));
+        charging.extend(graph.names_reaching(leaf));
     }
     let reachable = graph.reachable_from_entries(files);
     let mut out = Vec::new();
@@ -67,12 +77,8 @@ pub fn check(files: &[ParsedFile], graph: &CallGraph) -> Vec<Violation> {
             continue;
         }
         let f = &file.fns[node.fn_idx];
-        let Some((lo, hi)) = file.body_inner(f) else {
-            continue;
-        };
-        let charges_at_all = node.callees.iter().any(|c| charging.contains(c));
-        if !charges_at_all {
-            out.push(violation_at(
+        if !node.callees.iter().any(|c| charging.contains(c)) {
+            out.push(Violation::at(
                 file,
                 f.fn_tok,
                 RULE,
@@ -86,222 +92,127 @@ pub fn check(files: &[ParsedFile], graph: &CallGraph) -> Vec<Violation> {
         if !strict {
             continue;
         }
-        let mut st = PathState {
-            file,
-            charging: &charging,
-            gaps: Vec::new(),
+        let Some(cfg) = Cfg::build(file, f) else {
+            continue;
         };
-        let definite = analyze_block(&mut st, lo, hi, false);
-        for (tok, desc) in &st.gaps {
-            out.push(violation_at(
-                file,
-                *tok,
-                RULE,
-                format!("{desc} in handler `{name}`"),
-                HINT,
-            ));
+        let dispatcher = name == "hypercall" && crate_name == "hypervisor";
+        check_paths(file, &cfg, &charging, name, f.fn_tok, dispatcher, &mut out);
+    }
+    out
+}
+
+/// The strict tier: runs the charged/uncharged facts forward over `cfg`
+/// and reports every uncharged success `return`, then — only where a scope
+/// has no such gap — an uncharged fall-through: at the fn for ordinary
+/// handlers, at each `Hypercall::X` arm pattern for the dispatcher.
+fn check_paths(
+    file: &ParsedFile,
+    cfg: &Cfg,
+    charging: &BTreeSet<String>,
+    name: &str,
+    fn_tok: usize,
+    dispatcher: bool,
+    out: &mut Vec<Violation>,
+) {
+    // Tracked arms: the dispatcher's `Hypercall::X` patterns, by pattern
+    // start token, in CFG order.
+    let arms: Vec<(usize, usize)> = if dispatcher {
+        cfg.blocks
+            .iter()
+            .flat_map(|b| &b.events)
+            .filter_map(|ev| match *ev {
+                Ev::Arm { lo, hi } if file.toks[lo..hi].iter().any(|t| t.is_ident("Hypercall")) => {
+                    Some((lo, hi))
+                }
+                _ => None,
+            })
+            .take(MAX_ARMS)
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let (_, outs) = forward(cfg, 1u32, |b, &m| {
+        let mut m = m;
+        for ev in &cfg.blocks[b].events {
+            match *ev {
+                _ if m == 0 => break,
+                Ev::Call(t) if charging.contains(file.toks[t].name()) => m = CHARGED,
+                Ev::Arm { lo, .. } => {
+                    if let Some(k) = arms.iter().position(|a| a.0 == lo) {
+                        m = 1 << (k + 1);
+                    }
+                }
+                Ev::Call(_) => {}
+            }
         }
-        if name == "hypercall" && crate_name == "hypervisor" {
-            check_hypercall_arms(file, lo, hi, &charging, &mut out);
-        } else if !definite && st.gaps.is_empty() && !tail_err_shaped(&mut st, lo, hi) {
-            out.push(violation_at(
+        m
+    });
+    let scope = |bit: usize| match bit {
+        0 => format!("handler `{name}`"),
+        k => format!("match arm for `{}`", variant(file, arms[k - 1])),
+    };
+    let (mut gaps, mut fallthrough) = (0u32, 0u32);
+    for (b, blk) in cfg.blocks.iter().enumerate() {
+        let Some(exit) = blk.exit else { continue };
+        let uncharged = outs[b] & !CHARGED;
+        if exit.kind != ExitKind::Ok || uncharged == 0 {
+            continue;
+        }
+        if !file.toks[exit.site].is_ident("return") {
+            fallthrough |= uncharged;
+            continue;
+        }
+        gaps |= uncharged;
+        for bit in (0..=arms.len()).filter(|k| uncharged & (1 << k) != 0) {
+            out.push(Violation::at(
                 file,
-                f.fn_tok,
+                exit.site,
                 RULE,
                 format!(
-                    "some success path through handler `{name}` returns without charging the cost model"
+                    "success return without a cost-model charge in {}",
+                    scope(bit)
                 ),
                 HINT,
             ));
         }
     }
-    out
-}
-
-struct PathState<'a> {
-    file: &'a ParsedFile,
-    charging: &'a BTreeSet<String>,
-    /// `(return token, description)` per uncovered success return.
-    gaps: Vec<(usize, String)>,
-}
-
-/// Branch-sensitive coverage walk. Returns true when every fall-through
-/// path of `lo..hi` definitely includes a charging call; records a gap for
-/// every unconditional success `return` not covered by then.
-fn analyze_block(st: &mut PathState<'_>, lo: usize, hi: usize, prefix_charged: bool) -> bool {
-    let segs = split_block(&st.file.toks, &st.file.matching, lo, hi);
-    let mut charged = prefix_charged;
-    for seg in &segs {
-        if charged {
-            return true;
-        }
-        match seg {
-            Seg::Plain { lo, hi } => {
-                let charging_here = seg_charges(st, *lo, *hi);
-                if let Some(ret_tok) = top_level_return(st, *lo, *hi) {
-                    if !charging_here && !range_err_shaped(st, *lo, *hi) {
-                        st.gaps.push((
-                            ret_tok,
-                            "success return without a cost-model charge".to_string(),
-                        ));
-                    }
-                    // Control exits the function here; nothing falls through.
-                    return true;
-                }
-                if charging_here {
-                    charged = true;
-                }
-            }
-            Seg::Branch {
-                arms, exhaustive, ..
-            } => {
-                let mut all = *exhaustive;
-                for &(alo, ahi) in arms {
-                    let d = analyze_block(st, alo, ahi, charged);
-                    all = all && d;
-                }
-                if all {
-                    charged = true;
-                }
-            }
-            Seg::Loop { body, .. } => {
-                // The body may run zero times: analyze for gaps, never for
-                // coverage.
-                let _ = analyze_block(st, body.0, body.1, charged);
-            }
-        }
-    }
-    charged
-}
-
-/// Any call in `lo..hi` (any nesting) whose name is in the charging set.
-fn seg_charges(st: &PathState<'_>, lo: usize, hi: usize) -> bool {
-    st.file
-        .calls_in(lo, hi)
-        .iter()
-        .any(|c| st.charging.contains(&st.file.toks[c.tok].text))
-}
-
-/// A `return` token at the top nesting level of the segment (conditional
-/// returns inside `{..}` groups — let-else bodies, closures — don't count;
-/// their blocks are analyzed where they are branches).
-fn top_level_return(st: &PathState<'_>, lo: usize, hi: usize) -> Option<usize> {
-    let toks = &st.file.toks;
-    let mut i = lo;
-    while i < hi {
-        match toks[i].kind {
-            TokKind::Open => {
-                let m = st.file.matching[i];
-                if m == crate::ast::NO_MATCH || m >= hi {
-                    return None;
-                }
-                i = m + 1;
-            }
-            TokKind::Ident if toks[i].text == "return" => return Some(i),
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-/// Error-shaped range: mentions `Err`, `None`, or an `Invalid`-named
-/// variant anywhere (including inside groups — the payload of a `return`).
-fn range_err_shaped(st: &PathState<'_>, lo: usize, hi: usize) -> bool {
-    st.file.toks[lo..hi.min(st.file.toks.len())].iter().any(|t| {
-        t.kind == TokKind::Ident
-            && (t.text == "Err" || t.text == "None" || t.text.contains("Invalid"))
-    })
-}
-
-/// True when the final top-level segment of the block is error-shaped (an
-/// `Err(..)`-ish tail is an error exit, exempt like `return Err`).
-fn tail_err_shaped(st: &mut PathState<'_>, lo: usize, hi: usize) -> bool {
-    let segs = split_block(&st.file.toks, &st.file.matching, lo, hi);
-    match segs.last() {
-        Some(Seg::Plain { lo, hi }) => range_err_shaped(st, *lo, *hi),
-        _ => false,
-    }
-}
-
-/// Per-arm check of the hypercall dispatcher: every `Hypercall::X => ..`
-/// arm of the first top-level `match` must charge on all its paths.
-fn check_hypercall_arms(
-    file: &ParsedFile,
-    lo: usize,
-    hi: usize,
-    charging: &BTreeSet<String>,
-    out: &mut Vec<Violation>,
-) {
-    let toks = &file.toks;
-    // First `match` at the body's top level.
-    let mut i = lo;
-    let open = loop {
-        if i >= hi {
-            return;
-        }
-        match toks[i].kind {
-            TokKind::Open => {
-                let m = file.matching[i];
-                if m == crate::ast::NO_MATCH || m >= hi {
-                    return;
-                }
-                i = m + 1;
-            }
-            TokKind::Ident if toks[i].text == "match" => {
-                match crate::rules::find_block(toks, &file.matching, i + 1, hi) {
-                    Some((open, _)) => break open,
-                    None => return,
-                }
-            }
-            _ => i += 1,
-        }
-    };
-    for arm in match_arms(toks, &file.matching, open) {
-        let pat = &toks[arm.pat_lo..arm.pat_hi];
-        if !pat.iter().any(|t| t.is_ident("Hypercall")) {
-            continue;
-        }
-        let mut st = PathState {
+    let open = fallthrough & !gaps;
+    if open & 1 != 0 && !dispatcher {
+        out.push(Violation::at(
             file,
-            charging,
-            gaps: Vec::new(),
-        };
-        let definite = analyze_block(&mut st, arm.body_lo, arm.body_hi, false);
-        let variant: String = {
-            let mut v = String::from("Hypercall::");
-            let mut saw_sep = false;
-            for t in pat {
-                if t.is_punct(':') {
-                    saw_sep = true;
-                } else if saw_sep && t.kind == TokKind::Ident {
-                    v.push_str(&t.text);
-                    break;
-                }
-            }
-            v
-        };
-        for (tok, desc) in &st.gaps {
-            out.push(violation_at(
+            fn_tok,
+            RULE,
+            format!("some success path through handler `{name}` returns without charging the cost model"),
+            HINT,
+        ));
+    }
+    for (k, arm) in arms.iter().enumerate() {
+        if open & (1 << (k + 1)) != 0 {
+            out.push(Violation::at(
                 file,
-                *tok,
+                arm.0,
                 RULE,
-                format!("{desc} in match arm for `{variant}`"),
-                HINT,
-            ));
-        }
-        if !definite
-            && st.gaps.is_empty()
-            && !tail_err_shaped(&mut st, arm.body_lo, arm.body_hi)
-        {
-            out.push(violation_at(
-                file,
-                arm.pat_lo,
-                RULE,
-                format!("match arm for `{variant}` never charges the cost model on some path"),
+                format!(
+                    "match arm for `{}` never charges the cost model on some path",
+                    variant(file, *arm)
+                ),
                 HINT,
             ));
         }
     }
+}
+
+/// `Hypercall::<first ident after a path separator>` for an arm pattern.
+fn variant(file: &ParsedFile, (lo, hi): (usize, usize)) -> String {
+    let mut saw_sep = false;
+    for t in &file.toks[lo..hi] {
+        if t.is_punct(':') {
+            saw_sep = true;
+        } else if saw_sep && t.kind == TokKind::Ident {
+            return format!("Hypercall::{}", t.text);
+        }
+    }
+    "Hypercall::".to_string()
 }
 
 #[cfg(test)]
@@ -370,9 +281,30 @@ mod tests {
     }
 
     #[test]
+    fn uncharged_ok_none_return_is_a_gap() {
+        // `Ok(None)` is a success: the first of Err/None/Ok/Some decides.
+        let src = "impl H {\n    pub fn handle_x(&mut self) -> R {\n        if self.idle { return Ok(None); }\n        self.ctx.charge(1, 2);\n        Ok(Some(3))\n    }\n}\n";
+        let vs = run("hypervisor", src);
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert!(vs[0].message.contains("success return"), "{vs:?}");
+        assert_eq!(vs[0].line, 3);
+    }
+
+    #[test]
     fn hypercall_arm_guard_rejections_are_exempt() {
         let src = "impl H {\n    pub fn hypercall(&mut self, c: Hypercall) -> R {\n        match c {\n            Hypercall::EpmlInit => {\n                if !self.cfg.epml { return Ok(HypercallResult::Invalid); }\n                self.ctx.charge(1, 2);\n                Ok(HypercallResult::Ok)\n            }\n        }\n    }\n}\n";
         assert!(run("hypervisor", src).is_empty());
+    }
+
+    #[test]
+    fn hypercall_arm_uncharged_tail_rejection_is_exempt() {
+        let src = "impl H {\n    pub fn hypercall(&mut self, c: Hypercall) -> R {\n        match c {\n            Hypercall::Unsupported => Ok(HypercallResult::Invalid),\n            Hypercall::EpmlInit => { self.ctx.charge(1, 2); Ok(HypercallResult::Ok) }\n            Hypercall::Flush => Ok(HypercallResult::Ok),\n        }\n    }\n}\n";
+        let vs = run("hypervisor", src);
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert_eq!(
+            vs[0].message,
+            "match arm for `Hypercall::Flush` never charges the cost model on some path"
+        );
     }
 
     #[test]

@@ -1,366 +1,9 @@
-//! The flow rules: syntax-aware lints over the [`crate::ast`] items and the
-//! [`crate::callgraph`]. Each submodule exports a single
-//! `check(files, graph) -> Vec<Violation>`; `lib.rs` merges their output
-//! with the ported token rules into one deduplicated report.
-//!
-//! This module owns the shared control-flow machinery: splitting a block's
-//! token range into ordered *segments* (plain statements, `if`/`else`
-//! chains, `match` statements, loops) and the match-arm splitter. The
-//! segment model is deliberately small — it distinguishes exactly what the
-//! path analyses need: "does this run unconditionally", "which branches
-//! exist", and "does control leave the function here".
+//! The call-graph flow rules that are not lifecycle protocols: syntax-aware
+//! lints over the [`crate::ast`] items, the [`crate::callgraph`], and (for
+//! `cost-coverage`'s strict tier) the per-function [`crate::cfg::Cfg`].
+//! Each submodule exports a single `check(files, graph) -> Vec<Violation>`;
+//! `lib.rs` merges their output with the token rules and the
+//! [`crate::typestate`] protocols into one deduplicated report.
 
 pub mod cost;
 pub mod order;
-pub mod shootdown;
-
-use crate::ast::{ParsedFile, NO_MATCH};
-use crate::lexer::{Tok, TokKind};
-
-/// One top-level segment of a block, in source order.
-#[derive(Debug)]
-pub enum Seg {
-    /// A plain statement (or tail expression): `lo..hi` token range.
-    Plain { lo: usize, hi: usize },
-    /// An `if`/`else if`/`else` chain or a `match`: each arm is the *inner*
-    /// token range of its body. `exhaustive` is true when every path takes
-    /// some arm (a trailing `else`, or any `match`). `head` is the token
-    /// index of the introducing keyword.
-    Branch {
-        head: usize,
-        arms: Vec<(usize, usize)>,
-        exhaustive: bool,
-    },
-    /// `for`/`while`/`loop`: the body may run zero times.
-    Loop { head: usize, body: (usize, usize) },
-}
-
-/// One `match` arm: pattern and body token ranges (body excludes braces
-/// when it is a block).
-#[derive(Debug)]
-pub struct Arm {
-    pub pat_lo: usize,
-    pub pat_hi: usize,
-    pub body_lo: usize,
-    pub body_hi: usize,
-}
-
-/// Splits the half-open token range `lo..hi` (a block's interior) into
-/// segments. Unparseable tails degrade into one `Plain` segment.
-pub fn split_block(toks: &[Tok], matching: &[usize], lo: usize, hi: usize) -> Vec<Seg> {
-    let mut segs = Vec::new();
-    let hi = hi.min(toks.len());
-    let mut i = lo;
-    while i < hi {
-        if toks[i].is_punct(';') {
-            i += 1;
-            continue;
-        }
-        if toks[i].is_ident("if") || toks[i].is_ident("match") {
-            if let Some((seg, next)) = parse_branch(toks, matching, i, hi) {
-                segs.push(seg);
-                i = next;
-                continue;
-            }
-        }
-        if toks[i].is_ident("for") || toks[i].is_ident("while") || toks[i].is_ident("loop") {
-            if let Some((open, close)) = find_block(toks, matching, i + 1, hi) {
-                segs.push(Seg::Loop {
-                    head: i,
-                    body: (open + 1, close),
-                });
-                i = close + 1;
-                continue;
-            }
-        }
-        // A bare `{ .. }` or `unsafe { .. }` block: one always-taken arm.
-        if toks[i].is_open('{') || (toks[i].is_ident("unsafe") && toks.get(i + 1).is_some_and(|t| t.is_open('{'))) {
-            let open = if toks[i].is_open('{') { i } else { i + 1 };
-            let close = matching[open];
-            if close != NO_MATCH && close < hi {
-                segs.push(Seg::Branch {
-                    head: i,
-                    arms: vec![(open + 1, close)],
-                    exhaustive: true,
-                });
-                i = close + 1;
-                continue;
-            }
-        }
-        // Plain statement: to the next `;` at this level, skipping groups.
-        let start = i;
-        while i < hi && !toks[i].is_punct(';') {
-            if toks[i].kind == TokKind::Open {
-                let m = matching[i];
-                if m == NO_MATCH || m >= hi {
-                    i = hi;
-                    break;
-                }
-                i = m + 1;
-            } else {
-                i += 1;
-            }
-        }
-        let end = i.min(hi);
-        if i < hi {
-            i += 1; // consume `;`
-        }
-        segs.push(Seg::Plain { lo: start, hi: end });
-    }
-    segs
-}
-
-/// Parses an `if`/`else` chain or `match` starting at `i`; returns the
-/// segment and the index just past it.
-fn parse_branch(toks: &[Tok], matching: &[usize], i: usize, hi: usize) -> Option<(Seg, usize)> {
-    if toks[i].is_ident("match") {
-        let (open, close) = find_block(toks, matching, i + 1, hi)?;
-        let arms = match_arms(toks, matching, open);
-        return Some((
-            Seg::Branch {
-                head: i,
-                arms: arms.iter().map(|a| (a.body_lo, a.body_hi)).collect(),
-                exhaustive: true,
-            },
-            close + 1,
-        ));
-    }
-    // if .. {A} [else if .. {B}]* [else {C}]
-    let mut arms = Vec::new();
-    let mut exhaustive = false;
-    let mut j = i;
-    loop {
-        let (open, close) = find_block(toks, matching, j + 1, hi)?;
-        arms.push((open + 1, close));
-        j = close + 1;
-        if j < hi && toks[j].is_ident("else") {
-            if toks.get(j + 1).is_some_and(|t| t.is_ident("if")) {
-                j += 1; // chain continues at the `if`
-                continue;
-            }
-            let (eopen, eclose) = find_block(toks, matching, j + 1, hi)?;
-            arms.push((eopen + 1, eclose));
-            exhaustive = true;
-            j = eclose + 1;
-        }
-        break;
-    }
-    Some((
-        Seg::Branch {
-            head: i,
-            arms,
-            exhaustive,
-        },
-        j,
-    ))
-}
-
-/// Finds the first `{..}` block at the current nesting level starting from
-/// `from`, skipping `(..)`/`[..]` groups (so `if let Some(x) = f(y) { .. }`
-/// lands on the body, not a paren). Returns `(open, close)` token indices.
-pub fn find_block(
-    toks: &[Tok],
-    matching: &[usize],
-    from: usize,
-    hi: usize,
-) -> Option<(usize, usize)> {
-    let mut i = from;
-    while i < hi.min(toks.len()) {
-        match toks[i].kind {
-            TokKind::Open if toks[i].is_open('{') => {
-                let m = matching[i];
-                if m == NO_MATCH {
-                    return None;
-                }
-                return Some((i, m));
-            }
-            TokKind::Open => {
-                let m = matching[i];
-                if m == NO_MATCH {
-                    return None;
-                }
-                i = m + 1;
-            }
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-/// Splits the interior of a `match` block (brace at `open`) into arms. The
-/// body of a `pat => { block }` arm is the block interior; an expression
-/// arm runs to the `,` at arm level (or the closing brace).
-pub fn match_arms(toks: &[Tok], matching: &[usize], open: usize) -> Vec<Arm> {
-    let close = matching[open];
-    if close == NO_MATCH {
-        return Vec::new();
-    }
-    let mut arms = Vec::new();
-    let mut i = open + 1;
-    while i < close {
-        let pat_lo = i;
-        // Scan to `=>` at arm level.
-        let mut j = i;
-        let mut found = false;
-        while j < close {
-            if toks[j].kind == TokKind::Open {
-                let m = matching[j];
-                if m == NO_MATCH || m > close {
-                    break;
-                }
-                j = m + 1;
-            } else if toks[j].is_punct('=') && toks.get(j + 1).is_some_and(|t| t.is_punct('>')) {
-                found = true;
-                break;
-            } else {
-                j += 1;
-            }
-        }
-        if !found {
-            break;
-        }
-        let pat_hi = j;
-        let mut k = j + 2;
-        let (body_lo, body_hi, next) = if k < close && toks[k].is_open('{') {
-            let m = matching[k];
-            if m == NO_MATCH || m > close {
-                break;
-            }
-            let mut n = m + 1;
-            if n < close && toks[n].is_punct(',') {
-                n += 1;
-            }
-            (k + 1, m, n)
-        } else {
-            let body_lo = k;
-            while k < close && !toks[k].is_punct(',') {
-                if toks[k].kind == TokKind::Open {
-                    let m = matching[k];
-                    if m == NO_MATCH || m > close {
-                        k = close;
-                        break;
-                    }
-                    k = m + 1;
-                } else {
-                    k += 1;
-                }
-            }
-            let body_hi = k;
-            (body_lo, body_hi, (k + 1).min(close))
-        };
-        arms.push(Arm {
-            pat_lo,
-            pat_hi,
-            body_lo,
-            body_hi,
-        });
-        i = next.max(pat_lo + 1);
-    }
-    arms
-}
-
-/// Builds a [`crate::Violation`] anchored at token `tok` of `file`.
-pub fn violation_at(
-    file: &ParsedFile,
-    tok: usize,
-    rule: &'static str,
-    message: String,
-    hint: &str,
-) -> crate::Violation {
-    let t = &file.toks[tok];
-    crate::Violation {
-        rule,
-        path: file.rel_path.clone(),
-        line: t.line,
-        col: t.col,
-        excerpt: file.raw_line(t.line),
-        message,
-        hint: hint.to_string(),
-        trace: Vec::new(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ast::ParsedFile;
-
-    fn segs_of(body_src: &str) -> (ParsedFile, Vec<Seg>) {
-        let src = format!("fn f() {{ {body_src} }}");
-        let p = ParsedFile::parse("x", "crates/x/src/a.rs", &src);
-        let f = p.fns[0].clone();
-        let (lo, hi) = p.body_inner(&f).unwrap();
-        let segs = split_block(&p.toks, &p.matching, lo, hi);
-        (p, segs)
-    }
-
-    #[test]
-    fn plain_and_if_and_match_segments() {
-        let (_, segs) = segs_of("a(); if c { b() } else { d() } match x { A => e(), B => { g(); } } h()");
-        assert_eq!(segs.len(), 4, "{segs:?}");
-        assert!(matches!(segs[0], Seg::Plain { .. }));
-        match &segs[1] {
-            Seg::Branch { arms, exhaustive, .. } => {
-                assert_eq!(arms.len(), 2);
-                assert!(*exhaustive);
-            }
-            other => panic!("{other:?}"),
-        }
-        match &segs[2] {
-            Seg::Branch { arms, exhaustive, .. } => {
-                assert_eq!(arms.len(), 2);
-                assert!(*exhaustive);
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(matches!(segs[3], Seg::Plain { .. }));
-    }
-
-    #[test]
-    fn if_without_else_is_not_exhaustive() {
-        let (_, segs) = segs_of("if c { a() } b();");
-        match &segs[0] {
-            Seg::Branch { exhaustive, .. } => assert!(!exhaustive),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn else_if_chains_collect_all_arms() {
-        let (_, segs) = segs_of("if a { x() } else if b { y() } else { z() }");
-        match &segs[0] {
-            Seg::Branch { arms, exhaustive, .. } => {
-                assert_eq!(arms.len(), 3);
-                assert!(*exhaustive);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn loops_and_let_else_stay_single_segments() {
-        let (_, segs) = segs_of("for x in v { w(x); } let Some(y) = o else { return };");
-        assert_eq!(segs.len(), 2, "{segs:?}");
-        assert!(matches!(segs[0], Seg::Loop { .. }));
-        assert!(matches!(segs[1], Seg::Plain { .. }));
-    }
-
-    #[test]
-    fn match_arms_split_expr_and_block_bodies() {
-        let (p, _) = segs_of("match x { A { q } => f(q), B(z) if z > 0 => { g(); h(); } _ => i(), }");
-        let open = p
-            .toks
-            .iter()
-            .position(|t| t.is_ident("match"))
-            .map(|m| (m..p.toks.len()).find(|&i| p.toks[i].is_open('{')).unwrap())
-            .unwrap();
-        let arms = match_arms(&p.toks, &p.matching, open);
-        assert_eq!(arms.len(), 3, "{arms:?}");
-        // Pattern of the second arm includes the guard.
-        let pat: Vec<&str> = p.toks[arms[1].pat_lo..arms[1].pat_hi]
-            .iter()
-            .map(|t| t.text.as_str())
-            .collect();
-        assert!(pat.contains(&"if"), "{pat:?}");
-    }
-}

@@ -28,7 +28,6 @@
 use crate::ast::{CallKind, ParsedFile, NO_MATCH};
 use crate::callgraph::CallGraph;
 use crate::lexer::{Tok, TokKind};
-use crate::rules::violation_at;
 use crate::Violation;
 
 pub const RULE: &str = "ordered-iter";
@@ -69,7 +68,7 @@ pub fn check(files: &[ParsedFile], _graph: &CallGraph) -> Vec<Violation> {
                     continue;
                 }
                 if let Some(sink) = find_sink(file, rlo, rhi) {
-                    out.push(violation_at(
+                    out.push(Violation::at(
                         file,
                         site,
                         RULE,

@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 use crate::{Report, RULES};
 
 /// JSON string escaping per RFC 8259: `"`, `\`, and control chars.
-pub fn escape_json(s: &str) -> String {
+fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

@@ -5,7 +5,7 @@
 //! A [`Protocol`] declares states, a start state, transitions keyed by
 //! [`EventPat`] (call names, call-graph reachability, literal argument
 //! idents, match-arm patterns, and two domain-specific shapes: SPSC ring
-//! pushes and PTE D-bit destruction), and exit checks. The engine runs
+//! pushes and restricting PTE writes), and exit checks. The engine runs
 //! each protocol over every in-scope function: the powerset of protocol
 //! states is a `u32` bitmask, joined (unioned) over CFG paths to a
 //! fixpoint, so "some success path reaches the exit in state S" is one
@@ -42,9 +42,16 @@
 //! - `demote-before-log` — a guest function that demotes a huge mapping
 //!   (reaches `demote_guest_region`) must both broadcast a TLB shootdown
 //!   (`shootdown_page`/`shootdown_all`) and bump the process map
-//!   generation before any success return (DESIGN.md §14).
+//!   generation before any success return (DESIGN.md §14);
+//! - `shootdown-complete` — a sim-crate function that writes a PTE with a
+//!   restricting value (`Pte::empty()`, `.without(..)` clearing
+//!   `DIRTY`/`WRITABLE`/`SOFT_DIRTY`, `.with(Pte::UFFD_WP)`) must reach a
+//!   TLB shootdown on every success path, and D-bit destruction must also
+//!   reach a `note_*_dirty_cleared` notify. `.without(Pte::UFFD_WP)` is the
+//!   unprotect direction — an upgrade — and deliberately unmatched: only
+//!   restricting transitions need eager invalidation (paper §3).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::ParsedFile;
 use crate::callgraph::CallGraph;
@@ -89,9 +96,14 @@ pub enum EventPat {
     /// Same, but only when the push result is discarded and no
     /// guard keyword shapes the statement (see [`ring_push`]).
     RingPushUnchecked,
-    /// PTE D-bit/teardown destruction: `Pte::empty()` or
-    /// `.without(<flag>)` with a flag ident from this list.
-    PteDestruction { flags: &'static [&'static str] },
+    /// A restricting PTE value: `Pte::empty()` (teardown),
+    /// `.without(<flag>)` with a flag ident from `without`, or
+    /// `.with(<flag>)` with a flag ident from `with` (write-protection
+    /// restricts even though it sets a bit).
+    PteDestruction {
+        without: &'static [&'static str],
+        with: &'static [&'static str],
+    },
 }
 
 /// An exit obligation: flag a success exit whose state set contains
@@ -101,7 +113,8 @@ pub enum EventPat {
 pub struct Check {
     pub bad: u8,
     pub unless: Option<u8>,
-    /// Finding message; `{fn}` expands to the function name.
+    /// Finding message; `{fn}` expands to the function name and `{site}`
+    /// to the kind of PTE write that entered the bad state.
     pub message: &'static str,
 }
 
@@ -127,6 +140,24 @@ const NOTIFY_HOOKS: &[&str] = &[
     "note_guest_pte_dirty_cleared",
     "note_guest_dirty_cleared",
     "note_hyp_dirty_cleared",
+];
+
+const SHOOTDOWNS: &[&str] = &["shootdown_page", "shootdown_all"];
+
+/// D-bit destruction must be notified to the PML shadow on the same path,
+/// before or after the write (`drain-before-clear` and
+/// `shootdown-complete` share this machine).
+const DBIT_NOTIFY: &[(u8, EventPat, u8)] = &[
+    (0, EventPat::CallReaching(NOTIFY_HOOKS), 2),
+    (
+        0,
+        EventPat::PteDestruction {
+            without: &["DIRTY"],
+            with: &[],
+        },
+        1,
+    ),
+    (1, EventPat::CallReaching(NOTIFY_HOOKS), 2),
 ];
 
 /// Free-slot / capacity probes that establish the ring-guard state.
@@ -212,11 +243,7 @@ pub const PROTOCOLS: &[Protocol] = &[
         scope: Scope::BodyCallContains("phys_write"),
         states: &["clean", "pending-notify", "notified"],
         start: 0,
-        transitions: &[
-            (0, EventPat::CallReaching(NOTIFY_HOOKS), 2),
-            (0, EventPat::PteDestruction { flags: &["DIRTY"] }, 1),
-            (1, EventPat::CallReaching(NOTIFY_HOOKS), 2),
-        ],
+        transitions: DBIT_NOTIFY,
         checks: &[Check {
             bad: 1,
             unless: Some(2),
@@ -266,18 +293,10 @@ pub const PROTOCOLS: &[Protocol] = &[
         start: 0,
         transitions: &[
             (0, EventPat::CallReaching(&["demote_guest_region"]), 1),
-            (
-                1,
-                EventPat::CallReaching(&["shootdown_page", "shootdown_all"]),
-                2,
-            ),
+            (1, EventPat::CallReaching(SHOOTDOWNS), 2),
             (1, EventPat::CallReaching(&["bump_map_generation"]), 3),
             (2, EventPat::CallReaching(&["bump_map_generation"]), 4),
-            (
-                3,
-                EventPat::CallReaching(&["shootdown_page", "shootdown_all"]),
-                4,
-            ),
+            (3, EventPat::CallReaching(SHOOTDOWNS), 4),
         ],
         checks: &[
             Check {
@@ -297,12 +316,53 @@ pub const PROTOCOLS: &[Protocol] = &[
             },
         ],
     },
+    Protocol {
+        rule: "shootdown-complete",
+        name: "downgrade-shootdown",
+        crates: SIM_CRATES,
+        scope: Scope::BodyCallContains("phys_write"),
+        states: &["clean", "downgraded", "shot-down"],
+        start: 0,
+        transitions: &[
+            (0, EventPat::CallReaching(SHOOTDOWNS), 2),
+            (
+                0,
+                EventPat::PteDestruction {
+                    without: &["DIRTY", "WRITABLE", "SOFT_DIRTY"],
+                    with: &["UFFD_WP"],
+                },
+                1,
+            ),
+            (1, EventPat::CallReaching(SHOOTDOWNS), 2),
+        ],
+        checks: &[Check {
+            bad: 1,
+            unless: Some(2),
+            message: "PTE {site} in `{fn}` never reaches a TLB shootdown — remote cores may keep using the old translation",
+        }],
+    },
+    Protocol {
+        rule: "shootdown-complete",
+        name: "dbit-shadow-notify",
+        crates: SIM_CRATES,
+        scope: Scope::BodyCallContains("phys_write"),
+        states: &["clean", "pending-notify", "notified"],
+        start: 0,
+        transitions: DBIT_NOTIFY,
+        checks: &[Check {
+            bad: 1,
+            unless: Some(2),
+            message: "PTE {site} in `{fn}` destroys the D bit without notifying the PML shadow (note_*_dirty_cleared)",
+        }],
+    },
 ];
 
 /// Runs every protocol over every in-scope function; the entry point
 /// `lib.rs` wires into the scan pipeline.
 pub fn check(files: &[ParsedFile], graph: &CallGraph) -> Vec<Violation> {
     let mut out = Vec::new();
+    // Strict closures per leaf, shared across protocols.
+    let mut closures: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
     for proto in PROTOCOLS {
         // Resolve CallReaching sets once per protocol: the names of every
         // workspace fn from which one of the leaves is reachable. Strict
@@ -316,7 +376,10 @@ pub fn check(files: &[ParsedFile], graph: &CallGraph) -> Vec<Violation> {
                 EventPat::CallReaching(leaves) => {
                     let mut set = BTreeSet::new();
                     for leaf in *leaves {
-                        set.extend(graph.names_reaching_strict(leaf));
+                        let closure = closures
+                            .entry(leaf)
+                            .or_insert_with(|| graph.names_reaching_strict(leaf));
+                        set.extend(closure.iter().cloned());
                     }
                     Some(set)
                 }
@@ -376,7 +439,9 @@ fn classify(
                         .transitions
                         .iter()
                         .enumerate()
-                        .filter(|(ti, (_, pat, _))| event_matches(pat, reach_sets[*ti].as_ref(), file, ev))
+                        .filter(|(ti, (_, pat, _))| {
+                            event_matches(pat, reach_sets[*ti].as_ref(), file, ev)
+                        })
                         .map(|(_, (from, _, to))| (*from, *to))
                         .collect()
                 })
@@ -392,9 +457,7 @@ fn event_matches(
     ev: &Ev,
 ) -> bool {
     match (pat, ev) {
-        (EventPat::CallNamed(names), Ev::Call(tok)) => {
-            names.contains(&file.toks[*tok].name())
-        }
+        (EventPat::CallNamed(names), Ev::Call(tok)) => names.contains(&file.toks[*tok].name()),
         (EventPat::CallReaching(_), Ev::Call(tok)) => {
             reach.is_some_and(|set| set.contains(file.toks[*tok].name()))
         }
@@ -407,7 +470,9 @@ fn event_matches(
             .any(|t| t.kind == TokKind::Ident && t.name() == *ident),
         (EventPat::RingPushAny, Ev::Call(tok)) => ring_push(file, *tok).is_some(),
         (EventPat::RingPushUnchecked, Ev::Call(tok)) => ring_push(file, *tok) == Some(false),
-        (EventPat::PteDestruction { flags }, Ev::Call(tok)) => pte_destruction(file, *tok, flags),
+        (EventPat::PteDestruction { without, with }, Ev::Call(tok)) => {
+            pte_destruction(file, *tok, without, with)
+        }
         _ => false,
     }
 }
@@ -468,8 +533,11 @@ fn ring_push(file: &ParsedFile, tok: usize) -> Option<bool> {
         }
         match t.kind {
             TokKind::Ident => {
-                if t.is_ident("if") || t.is_ident("while") || t.is_ident("match")
-                    || t.text.starts_with("assert") || t.text.starts_with("debug_assert")
+                if t.is_ident("if")
+                    || t.is_ident("while")
+                    || t.is_ident("match")
+                    || t.text.starts_with("assert")
+                    || t.text.starts_with("debug_assert")
                 {
                     has_kw = true;
                 } else if t.is_ident("let") {
@@ -487,20 +555,39 @@ fn ring_push(file: &ParsedFile, tok: usize) -> Option<bool> {
     Some(checked)
 }
 
-/// `Pte::empty()` or `.without(<flag>)` with a matching flag ident.
-fn pte_destruction(file: &ParsedFile, tok: usize, flags: &[&str]) -> bool {
-    let toks = &file.toks;
-    let name = toks[tok].name();
-    if name == "empty" {
-        return tok >= 3
-            && toks[tok - 1].is_punct(':')
-            && toks[tok - 2].is_punct(':')
-            && toks[tok - 3].is_ident("Pte");
+/// `Pte::empty()`, `.without(<flag>)` with a flag from `without`, or
+/// `.with(<flag>)` with a flag from `with`.
+fn pte_destruction(file: &ParsedFile, tok: usize, without: &[&str], with: &[&str]) -> bool {
+    match file.toks[tok].name() {
+        "empty" => is_pte_empty(file, tok),
+        "without" => call_arg_mentions(file, tok, without),
+        "with" => call_arg_mentions(file, tok, with),
+        _ => false,
     }
-    if name == "without" {
-        return call_arg_mentions(file, tok, flags);
+}
+
+fn is_pte_empty(file: &ParsedFile, tok: usize) -> bool {
+    tok >= 3 && crate::ast::seq_at(&file.toks, tok - 3, &["Pte", ":", ":", "empty"])
+}
+
+/// Where an event at call token `tok` is reported: the call name, except
+/// `Pte::empty()`, which anchors at the path's `Pte`.
+fn event_site(file: &ParsedFile, tok: usize) -> usize {
+    if is_pte_empty(file, tok) {
+        tok - 3
+    } else {
+        tok
     }
-    false
+}
+
+/// What kind of PTE write the call token `tok` is, for `{site}` messages.
+fn pte_site_label(file: &ParsedFile, tok: usize) -> &'static str {
+    match file.toks[tok].name() {
+        "empty" => "teardown (`Pte::empty()`)",
+        "without" => "permission downgrade (`.without(..)`)",
+        "with" => "write-protection (`.with(Pte::UFFD_WP)`)",
+        _ => "write",
+    }
 }
 
 /// Applies a block's event transitions to a state mask, in event order.
@@ -566,17 +653,18 @@ fn run_protocol(
                     continue;
                 }
             }
-            let steps = trace_path(proto, cfg, &trans, b, check.bad, file, f, exit.site);
+            let steps = trace_path(proto, cfg, &trans, b, check.bad);
             // Anchor at the last transition into the bad state, else at
             // the exit site (the bad state held from entry).
-            let anchor = steps
-                .iter()
-                .rev()
-                .find(|s| s.entered_bad)
-                .map_or(exit.site, |s| s.tok);
+            let entered = steps.iter().rev().find(|s| s.entered_bad);
+            let anchor = entered.map_or(exit.site, |s| event_site(file, s.tok));
             let t = &file.toks[anchor];
             if !seen.insert((t.line, t.col, check.message)) {
                 continue;
+            }
+            let mut message = check.message.replace("{fn}", &f.name);
+            if let Some(s) = entered {
+                message = message.replace("{site}", pte_site_label(file, s.tok));
             }
             out.push(Violation {
                 rule: proto.rule,
@@ -584,7 +672,7 @@ fn run_protocol(
                 line: t.line,
                 col: t.col,
                 excerpt: file.raw_line(t.line),
-                message: check.message.replace("{fn}", &f.name),
+                message,
                 hint: rule_info(proto.rule).help.to_string(),
                 trace: render_trace(proto, file, f, &steps, exit.site, check.bad),
             });
@@ -607,16 +695,12 @@ struct PathStep {
 /// deterministic (block/event/state indices only). Returns an empty list
 /// when no concrete path exists (the abstraction joined facts the product
 /// walk cannot witness) — the finding then anchors at the exit.
-#[allow(clippy::too_many_arguments)]
 fn trace_path(
     proto: &Protocol,
     cfg: &Cfg,
     trans: &EventTrans,
     exit_block: usize,
     bad: u8,
-    _file: &ParsedFile,
-    _f: &crate::ast::FnItem,
-    _exit_site: usize,
 ) -> Vec<PathStep> {
     #[derive(Clone, Copy)]
     struct Node {
@@ -627,7 +711,12 @@ fn trace_path(
         cause: Option<(usize, u8, u8, bool)>, // (tok, from, to, is_arm)
     }
     let n = cfg.blocks.len();
-    let width = cfg.blocks.iter().map(|b| b.events.len() + 1).max().unwrap_or(1);
+    let width = cfg
+        .blocks
+        .iter()
+        .map(|b| b.events.len() + 1)
+        .max()
+        .unwrap_or(1);
     let nstates = proto.states.len();
     let idx = |b: usize, p: usize, s: u8| (b * width + p) * nstates + s as usize;
     let mut visited = vec![false; n * width * nstates];
@@ -731,12 +820,16 @@ fn render_trace(
         ),
     });
     for s in steps {
-        let t = &file.toks[s.tok];
         let what = if s.is_arm {
             format!("matched arm `{}`", arm_label(file, s.tok))
         } else {
-            format!("call `{}`", t.name())
+            format!("call `{}`", file.toks[s.tok].name())
         };
+        let t = &file.toks[if s.is_arm {
+            s.tok
+        } else {
+            event_site(file, s.tok)
+        }];
         out.push(TraceStep {
             line: t.line,
             col: t.col,
@@ -796,7 +889,11 @@ mod tests {
         let src = "impl M {\n    fn sched_out(&mut self, hv: &mut H) -> Result<(), E> {\n        if self.idle { return Ok(()); }\n        self.disable_logging(hv)\n    }\n    fn disable_logging(&mut self, hv: &mut H) -> Result<(), E> { hv.hypercall(0, Hypercall::DisableLogging, 0) }\n}\n";
         let v = scan("guest", src);
         assert_eq!(rules_of(&v), vec!["spml-pairing"], "{v:?}");
-        assert!(v[0].trace.len() >= 2, "trace must have entry + exit: {:?}", v[0].trace);
+        assert!(
+            v[0].trace.len() >= 2,
+            "trace must have entry + exit: {:?}",
+            v[0].trace
+        );
         assert!(v[0].message.contains("sched_out"));
     }
 
@@ -839,10 +936,16 @@ mod tests {
 
     #[test]
     fn dbit_destruction_with_notify_before_or_after_is_clean() {
-        let before = "impl K {\n    fn munmap(&mut self, hv: &mut H) -> Result<(), E> {\n        hv.note_guest_pte_dirty_cleared(self.vm, 0, gpa);\n        self.kernel_phys_write(hv, slot, Pte::empty().0)?;\n        Ok(())\n    }\n}\n";
-        assert!(scan("guest", before).is_empty(), "notify-then-clear is the munmap design");
-        let after = "impl K {\n    fn sweep(&mut self, hv: &mut H) -> Result<(), E> {\n        self.kernel_phys_write(hv, slot, pte.without(Pte::DIRTY).0)?;\n        hv.note_guest_pte_dirty_cleared(self.vm, 0, gpa);\n        Ok(())\n    }\n}\n";
-        assert!(scan("guest", after).is_empty(), "clear-then-notify is the drain design");
+        let before = "impl K {\n    fn munmap(&mut self, hv: &mut H) -> Result<(), E> {\n        hv.note_guest_pte_dirty_cleared(self.vm, 0, gpa);\n        self.kernel_phys_write(hv, slot, Pte::empty().0)?;\n        self.shootdown_page(hv, gva);\n        Ok(())\n    }\n}\n";
+        assert!(
+            scan("guest", before).is_empty(),
+            "notify-then-clear is the munmap design"
+        );
+        let after = "impl K {\n    fn sweep(&mut self, hv: &mut H) -> Result<(), E> {\n        self.kernel_phys_write(hv, slot, pte.without(Pte::DIRTY).0)?;\n        hv.note_guest_pte_dirty_cleared(self.vm, 0, gpa);\n        self.shootdown_all(hv);\n        Ok(())\n    }\n}\n";
+        assert!(
+            scan("guest", after).is_empty(),
+            "clear-then-notify is the drain design"
+        );
     }
 
     #[test]
@@ -873,7 +976,9 @@ mod tests {
         let v = scan("hypervisor", bad);
         assert_eq!(rules_of(&v), vec!["ipi-on-full"], "{v:?}");
         assert!(
-            v[0].trace.iter().any(|s| s.note.contains("GuestBufferFull")),
+            v[0].trace
+                .iter()
+                .any(|s| s.note.contains("GuestBufferFull")),
             "trace must show the arm entry: {:?}",
             v[0].trace
         );
@@ -889,8 +994,114 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         let notes: Vec<&str> = v[0].trace.iter().map(|s| s.note.as_str()).collect();
         assert!(notes[0].contains("starts in state"), "{notes:?}");
-        assert!(notes.iter().any(|n| n.contains("'idle' → 'armed'")), "{notes:?}");
-        assert!(notes.iter().any(|n| n.contains("'armed' → 'cleared-early'")), "{notes:?}");
+        assert!(
+            notes.iter().any(|n| n.contains("'idle' → 'armed'")),
+            "{notes:?}"
+        );
+        assert!(
+            notes
+                .iter()
+                .any(|n| n.contains("'armed' → 'cleared-early'")),
+            "{notes:?}"
+        );
         assert!(notes.last().unwrap().contains("exit"), "{notes:?}");
+    }
+
+    #[test]
+    fn invalid_guard_rejection_is_an_error_exit() {
+        // `Ok(HypercallResult::Invalid)` is a guard rejection: obligations
+        // do not bind on it, even though `Ok` comes first.
+        let src = "impl M {\n    fn sched_out(&mut self, hv: &mut H) -> Result<R, E> {\n        if self.off { return Ok(HypercallResult::Invalid); }\n        self.disable_logging(hv)\n    }\n    fn disable_logging(&mut self, hv: &mut H) -> Result<R, E> { hv.hypercall(0, Hypercall::DisableLogging, 0) }\n}\n";
+        assert!(scan("guest", src).is_empty());
+    }
+
+    fn shootdown(src: &str) -> Vec<Violation> {
+        scan("guest", src)
+            .into_iter()
+            .filter(|v| v.rule == "shootdown-complete")
+            .collect()
+    }
+
+    #[test]
+    fn teardown_with_notify_and_shootdown_passes() {
+        let src = "impl K {\n    fn munmap(&mut self, hv: &mut H) {\n        hv.note_guest_pte_dirty_cleared(gpa);\n        self.kernel_phys_write(pa, Pte::empty().0);\n        self.shootdown_all(hv);\n    }\n}\n";
+        assert!(scan("guest", src).is_empty());
+    }
+
+    #[test]
+    fn teardown_without_shootdown_is_flagged_at_the_pte_path() {
+        let src = "impl K {\n    fn munmap(&mut self, hv: &mut H) {\n        hv.note_guest_pte_dirty_cleared(gpa);\n        self.kernel_phys_write(pa, Pte::empty().0);\n    }\n}\n";
+        let vs = scan("guest", src);
+        assert_eq!(rules_of(&vs), vec!["shootdown-complete"], "{vs:?}");
+        assert_eq!((vs[0].line, vs[0].col), (4, 36));
+        assert!(
+            vs[0]
+                .message
+                .starts_with("PTE teardown (`Pte::empty()`) in `munmap`"),
+            "{vs:?}"
+        );
+        let notes: Vec<&str> = vs[0].trace.iter().map(|s| s.note.as_str()).collect();
+        assert!(
+            notes
+                .iter()
+                .any(|n| n.contains("call `empty` — state 'clean' → 'downgraded'")),
+            "{notes:?}"
+        );
+    }
+
+    #[test]
+    fn shootdown_on_one_branch_only_is_flagged() {
+        let src = "impl K {\n    fn protect(&mut self, hv: &mut H) -> Result<(), E> {\n        self.kernel_phys_write(pa, pte.without(Pte::WRITABLE).0)?;\n        if self.single { return Ok(()); }\n        self.shootdown_all(hv);\n        Ok(())\n    }\n}\n";
+        let vs = shootdown(src);
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert!(vs[0].message.contains("permission downgrade"), "{vs:?}");
+    }
+
+    #[test]
+    fn dirty_clear_without_notify_is_flagged() {
+        let src = "impl K {\n    fn sweep(&mut self, hv: &mut H) {\n        let v = pte.without(Pte::DIRTY);\n        self.kernel_phys_write(pa, v.0);\n        self.shootdown_all(hv);\n    }\n}\n";
+        let vs = shootdown(src);
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert!(vs[0].message.contains("PML shadow"), "{vs:?}");
+    }
+
+    #[test]
+    fn soft_dirty_clear_needs_no_notify() {
+        let src = "impl K {\n    fn clear_refs(&mut self, hv: &mut H) {\n        let v = pte.without(Pte::SOFT_DIRTY | Pte::WRITABLE);\n        self.kernel_phys_write(pa, v.0);\n        self.shootdown_all(hv);\n    }\n}\n";
+        assert!(scan("guest", src).is_empty());
+    }
+
+    #[test]
+    fn uffd_unprotect_is_an_upgrade() {
+        // `.without(Pte::UFFD_WP)` relaxes permissions; no shootdown needed.
+        let src = "impl K {\n    fn unprotect(&mut self, hv: &mut H) {\n        let v = pte.without(Pte::UFFD_WP);\n        self.kernel_phys_write(pa, v.0);\n    }\n}\n";
+        assert!(scan("guest", src).is_empty());
+    }
+
+    #[test]
+    fn uffd_protect_requires_shootdown() {
+        let src = "impl K {\n    fn writeprotect(&mut self, hv: &mut H) {\n        let v = pte.with(Pte::UFFD_WP);\n        self.kernel_phys_write(pa, v.0);\n    }\n}\n";
+        let vs = scan("guest", src);
+        assert_eq!(rules_of(&vs), vec!["shootdown-complete"], "{vs:?}");
+        assert!(vs[0].message.contains("write-protection"), "{vs:?}");
+    }
+
+    #[test]
+    fn shootdown_via_helper_counts() {
+        let src = "impl K {\n    fn munmap(&mut self, hv: &mut H) {\n        hv.note_guest_pte_dirty_cleared(gpa);\n        self.kernel_phys_write(pa, Pte::empty().0);\n        self.broadcast(hv);\n    }\n    fn broadcast(&mut self, hv: &mut H) { self.shootdown_all(hv); }\n}\n";
+        assert!(scan("guest", src).is_empty());
+    }
+
+    #[test]
+    fn downgrade_without_phys_write_is_not_a_site() {
+        // Computing a downgraded value without writing it is fine.
+        let src = "impl K {\n    fn preview(&self) -> Pte { pte.without(Pte::DIRTY) }\n}\n";
+        assert!(scan("guest", src).is_empty());
+    }
+
+    #[test]
+    fn non_sim_crates_are_out_of_scope() {
+        let src = "fn munmap() { kernel_phys_write(pa, Pte::empty().0); }";
+        assert!(scan("bench", src).is_empty());
     }
 }

@@ -58,54 +58,6 @@ fn verify_output_is_byte_identical_across_runs() {
     assert_eq!(a.allowed, b.allowed);
 }
 
-/// The incremental cache must be invisible in the output: a cold run
-/// (populating the cache) and a warm run (replaying it) must render to
-/// byte-identical text, JSON, and SARIF — and the warm run must actually
-/// be served from the cache, or the determinism claim is vacuous.
-#[test]
-fn verify_cache_cold_and_warm_runs_are_byte_identical() {
-    let root = ooh_verify::workspace_root();
-    let dir = std::env::temp_dir().join("ooh-verify-lint-cache");
-    std::fs::create_dir_all(&dir).expect("temp cache dir");
-    let cache = dir.join(format!("ws-{}.cache", std::process::id()));
-    let _ = std::fs::remove_file(&cache);
-
-    let (cold, cold_warm) = ooh_verify::cache::run_cached(&root, &cache).expect("cold run");
-    assert!(!cold_warm, "first run cannot be warm");
-    let (warm, warm_warm) = ooh_verify::cache::run_cached(&root, &cache).expect("warm run");
-    assert!(warm_warm, "second run with unchanged inputs must hit the cache");
-
-    let text = |r: &ooh_verify::Report| {
-        r.violations
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(text(&cold), text(&warm), "text differs cold vs warm");
-    assert_eq!(
-        ooh_verify::sarif::to_json(&cold),
-        ooh_verify::sarif::to_json(&warm),
-        "JSON differs cold vs warm"
-    );
-    assert_eq!(
-        ooh_verify::sarif::to_sarif(&cold),
-        ooh_verify::sarif::to_sarif(&warm),
-        "SARIF differs cold vs warm"
-    );
-    assert_eq!(cold.files_scanned, warm.files_scanned);
-    assert_eq!(cold.allowed, warm.allowed);
-
-    // The uncached pipeline agrees with both.
-    let direct = ooh_verify::run(&root).expect("direct scan");
-    assert_eq!(text(&direct), text(&warm));
-    assert_eq!(
-        ooh_verify::sarif::to_sarif(&direct),
-        ooh_verify::sarif::to_sarif(&warm)
-    );
-    let _ = std::fs::remove_file(&cache);
-}
-
 /// Findings come out sorted by `(path, line, rule, col)` — the order the
 /// formats rely on for stability.
 #[test]
@@ -133,5 +85,8 @@ fn verify_findings_are_sorted() {
         .collect();
     let mut sorted = keys.clone();
     sorted.sort();
-    assert_eq!(keys, sorted, "findings are not in (path, line, rule, col) order");
+    assert_eq!(
+        keys, sorted,
+        "findings are not in (path, line, rule, col) order"
+    );
 }
