@@ -32,16 +32,6 @@ struct Row {
     revmap_share_pct: f64,
 }
 
-fn trace_mode() -> bool {
-    std::env::var_os("OOH_TRACE").is_some_and(|v| !v.is_empty() && v != "0")
-}
-
-fn trace_out_dir() -> std::path::PathBuf {
-    std::env::var_os("OOH_TRACE_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("bench_results"))
-}
-
 fn make_row(mib: u64, cost: &ooh_sim::CostModel, pages: u64, count: impl Fn(Event) -> u64) -> Row {
     let revmap_ns = count(Event::ReverseMapLookup) * cost.reverse_map_lookup_ns(pages);
     let pt_walk_ns = count(Event::PagemapReadEntry) * cost.pagemap_entry_ns
@@ -73,12 +63,12 @@ fn main() {
         let pages = w.num_pages;
         let steps_per_pass = pages.div_ceil(256) as u32;
 
-        let (run, tracer): (TrackedRun, Option<Arc<Tracer>>) = if trace_mode() {
+        let (run, tracer): (TrackedRun, Option<Arc<Tracer>>) = if report::trace_mode() {
             // Boot with the tracer installed before the first charge so the
             // conservation invariant covers the whole stack lifetime.
             let ctx = SimCtx::new();
             let tracer = Tracer::install(&ctx);
-            let mut stack = Stack::boot_with_ctx(8 * 1024, ctx);
+            let mut stack = Stack::boot_with_ctx_vcpus(8 * 1024, ctx, 1);
             let run = run_tracked_on(&mut stack, Technique::Spml, &mut w, steps_per_pass)
                 .expect("spml run");
             tracer
@@ -106,7 +96,7 @@ fn main() {
                 "fig3: trace-regenerated row for {mib}MB diverged from counter-based row"
             );
             if mib == largest {
-                let dir = trace_out_dir();
+                let dir = report::trace_out_dir();
                 std::fs::create_dir_all(&dir).expect("create trace output dir");
                 let rows_json =
                     serde_json::to_string(&t.profile_rows()).expect("serialize profile");

@@ -15,7 +15,7 @@
 
 use ooh_bench::{counter, report, run_tracked_on, Stack};
 use ooh_core::Technique;
-use ooh_sim::{Event, TextTable};
+use ooh_sim::{Event, SimCtx, TextTable};
 use ooh_workloads::micro;
 use serde::Serialize;
 
@@ -61,7 +61,7 @@ fn main() {
     ]);
     for vcpus in parse_vcpus() {
         for technique in Technique::ALL {
-            let mut stack = Stack::boot_with_vcpus(1024, vcpus);
+            let mut stack = Stack::boot_with_ctx_vcpus(1024, SimCtx::new(), vcpus);
             // Populate the other cores: one background process per extra
             // vCPU (round-robin placement puts them on vCPUs 1..n), so the
             // shootdown broadcasts hit cores that are actually scheduling.

@@ -48,23 +48,13 @@ struct SizeRow {
     total_ms: f64,
 }
 
-fn trace_mode() -> bool {
-    std::env::var_os("OOH_TRACE").is_some_and(|v| !v.is_empty() && v != "0")
-}
-
-fn trace_out_dir() -> std::path::PathBuf {
-    std::env::var_os("OOH_TRACE_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("bench_results"))
-}
-
 /// Boot a stack; in trace mode, with a tracer installed before the first
 /// charge so conservation covers boot time too.
 fn boot_traced() -> (Stack, Option<Arc<Tracer>>) {
-    if trace_mode() {
+    if report::trace_mode() {
         let ctx = SimCtx::new();
         let tracer = Tracer::install(&ctx);
-        (Stack::boot_with_ctx(8 * 1024, ctx), Some(tracer))
+        (Stack::boot_with_ctx_vcpus(8 * 1024, ctx, 1), Some(tracer))
     } else {
         (Stack::boot(), None)
     }
@@ -348,7 +338,7 @@ fn main() {
         check_conservation(&tracer, &stack);
         if let Some(t) = &tracer {
             if mib == largest {
-                let dir = trace_out_dir();
+                let dir = report::trace_out_dir();
                 std::fs::create_dir_all(&dir).expect("create trace output dir");
                 let rows_json =
                     serde_json::to_string(&t.profile_rows()).expect("serialize profile");

@@ -34,3 +34,18 @@ pub fn ms(ns: u64) -> f64 {
 pub fn secs(ns: u64) -> f64 {
     ns as f64 / 1e9
 }
+
+/// Trace mode is on when `OOH_TRACE` is set to anything but empty or `0`:
+/// the binary installs a tracer, re-derives its table from the trace, and
+/// writes the profile artifacts.
+pub fn trace_mode() -> bool {
+    std::env::var_os("OOH_TRACE").is_some_and(|v| !v.is_empty() && v != "0")
+}
+
+/// Where trace mode writes its artifacts: `OOH_TRACE_OUT`, else
+/// `bench_results`.
+pub fn trace_out_dir() -> std::path::PathBuf {
+    std::env::var_os("OOH_TRACE_OUT")
+        .map(std::path::PathBuf::from)
+        .unwrap_or_else(|| std::path::PathBuf::from("bench_results"))
+}

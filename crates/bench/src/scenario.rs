@@ -21,28 +21,15 @@ impl Stack {
     /// Boot with EPML-capable hardware (the BOCHS-analog machine) — every
     /// technique runs there, so comparisons share one substrate.
     pub fn boot() -> Self {
-        Self::boot_with_ram(8 * 1024) // 8 GiB host default
+        Self::boot_with_ctx_vcpus(8 * 1024, SimCtx::new(), 1) // 8 GiB host default
     }
 
-    /// Boot with `host_mib` of host RAM (guest gets half).
-    pub fn boot_with_ram(host_mib: u64) -> Self {
-        Self::boot_with_ctx(host_mib, SimCtx::new())
-    }
-
-    /// Boot against a caller-provided context — the hook the trace mode
-    /// uses to install an `ooh_trace::Tracer` *before* the first charge, so
-    /// the conservation invariant covers boot time too.
-    pub fn boot_with_ctx(host_mib: u64, ctx: SimCtx) -> Self {
-        Self::boot_with_ctx_vcpus(host_mib, ctx, 1)
-    }
-
-    /// Boot an SMP stack: the VM gets `n_vcpus` vCPUs and the guest kernel
-    /// schedules across all of them (processes are placed round-robin).
-    pub fn boot_with_vcpus(host_mib: u64, n_vcpus: u32) -> Self {
-        Self::boot_with_ctx_vcpus(host_mib, SimCtx::new(), n_vcpus)
-    }
-
-    /// The fully-general boot: host size, context, and vCPU count.
+    /// The fully-general boot: `host_mib` of host RAM (the guest gets
+    /// half), a caller-provided context, and `n_vcpus` vCPUs the guest
+    /// kernel schedules across (processes are placed round-robin). Passing
+    /// the context is the hook the trace mode uses to install an
+    /// `ooh_trace::Tracer` *before* the first charge, so the conservation
+    /// invariant covers boot time too.
     pub fn boot_with_ctx_vcpus(host_mib: u64, ctx: SimCtx, n_vcpus: u32) -> Self {
         let n_vcpus = n_vcpus.max(1);
         let mut hv = Hypervisor::new(MachineConfig::epml(host_mib * 1024 * 1024), ctx);

@@ -20,7 +20,6 @@ pub mod dirtyset;
 pub mod epml;
 #[cfg(feature = "debug-invariants")]
 pub mod invariants;
-pub mod model_port;
 pub mod policy;
 pub mod proc_tracker;
 pub mod revmap;
@@ -31,10 +30,6 @@ pub mod ufd_tracker;
 
 pub use dirtyset::DirtySet;
 pub use epml::EpmlTracker;
-pub use model_port::{
-    technique_from_token, technique_token, ModelError, ModelPort, ModelSession, ModelViolation,
-    Mutation, Scenario, Step,
-};
 pub use policy::{dirty_rate_pps, ConvergencePolicy, Decision, PolicyState};
 pub use proc_tracker::ProcTracker;
 pub use session::OohSession;

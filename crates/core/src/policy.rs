@@ -1,10 +1,11 @@
 //! Convergence/throttling policy for pre-copy loops.
 //!
-//! Every pre-copy consumer in the workspace — the hypervisor's
-//! whole-VM [`PreCopyMigration`](../../hypervisor) loop and the
-//! CRIU-chain fleet scheduler in `ooh-bench` — faces the same control
-//! problem: a guest that dirties pages faster than the copy channel can
-//! ship them never converges, and an unbounded loop just burns rounds.
+//! The CRIU-chain fleet scheduler in `ooh-bench` drives its pre-copy
+//! rounds with this policy. (The hypervisor's whole-VM `PreCopyMigration`
+//! loop keeps its own built-in stop threshold and round cap.) Any pre-copy
+//! loop faces the same control problem: a guest that dirties pages faster
+//! than the copy channel can ship them never converges, and an unbounded
+//! loop just burns rounds.
 //! The standard datacenter answer (Xen, QEMU auto-converge, Firecracker)
 //! is a three-state policy:
 //!

@@ -776,27 +776,11 @@ impl GuestKernel {
     // --- the access path ----------------------------------------------------------
 
     /// Translate + access one byte address, resolving faults like a real
-    /// kernel would, then service any pending interrupts (EPML self-IPIs).
-    pub fn access(
-        &mut self,
-        hv: &mut Hypervisor,
-        pid: Pid,
-        gva: Gva,
-        write: bool,
-        lane: Lane,
-    ) -> Result<Hpa, GuestError> {
-        let hpa = self.access_no_irq(hv, pid, gva, write, lane)?;
-        self.poll_interrupts(hv)?;
-        Ok(hpa)
-    }
-
-    /// [`Self::access`] without the interrupt poll: the access completes and
-    /// any posted self-IPI stays pending. This is the model checker's step
-    /// surface — it lets the explorer schedule IPI delivery as its own step
-    /// and so enumerate the store/IPI interleavings that `access` (which
-    /// services interrupts immediately, like an interruptible kernel path)
-    /// never produces. Normal workloads should use `access`.
-    pub fn access_no_irq(
+    /// kernel would. Pending interrupts are not serviced here: the typed
+    /// accessors poll after each page's access, and the model checker's
+    /// [`Self::write_u64_no_irq`] leaves a posted self-IPI pending so IPI
+    /// delivery can be scheduled as its own step.
+    pub(crate) fn access_page(
         &mut self,
         hv: &mut Hypervisor,
         pid: Pid,
@@ -863,19 +847,8 @@ impl GuestKernel {
         self.write_bytes_inner(hv, pid, gva, bytes, lane, true)
     }
 
-    /// [`Self::write_bytes`] without the interrupt poll (see
-    /// [`Self::access_no_irq`] for when that matters).
-    pub fn write_bytes_no_irq(
-        &mut self,
-        hv: &mut Hypervisor,
-        pid: Pid,
-        gva: Gva,
-        bytes: &[u8],
-        lane: Lane,
-    ) -> Result<(), GuestError> {
-        self.write_bytes_inner(hv, pid, gva, bytes, lane, false)
-    }
-
+    /// Write `bytes` page by page; with `poll_irq`, pending interrupts are
+    /// serviced after each page's access, before the physical copy.
     fn write_bytes_inner(
         &mut self,
         hv: &mut Hypervisor,
@@ -891,11 +864,10 @@ impl GuestKernel {
             let cur = gva.add(off as u64);
             let in_page = (PAGE_SIZE - cur.offset()) as usize;
             let n = in_page.min(bytes.len() - off);
-            let hpa = if poll_irq {
-                self.access(hv, pid, cur, true, lane)?
-            } else {
-                self.access_no_irq(hv, pid, cur, true, lane)?
-            };
+            let hpa = self.access_page(hv, pid, cur, true, lane)?;
+            if poll_irq {
+                self.poll_interrupts(hv)?;
+            }
             hv.machine.phys.write(hpa, &bytes[off..off + n])?;
             ctx.charge_ns(
                 lane,
@@ -922,7 +894,8 @@ impl GuestKernel {
             let cur = gva.add(off as u64);
             let in_page = (PAGE_SIZE - cur.offset()) as usize;
             let n = in_page.min(buf.len() - off);
-            let hpa = self.access(hv, pid, cur, false, lane)?;
+            let hpa = self.access_page(hv, pid, cur, false, lane)?;
+            self.poll_interrupts(hv)?;
             hv.machine.phys.read(hpa, &mut buf[off..off + n])?;
             ctx.charge_ns(
                 lane,
@@ -945,7 +918,12 @@ impl GuestKernel {
         self.write_bytes(hv, pid, gva, &value.to_le_bytes(), lane)
     }
 
-    /// [`Self::write_u64`] without the interrupt poll (model-checker step).
+    /// [`Self::write_u64`] without the interrupt poll: the store completes
+    /// and any posted self-IPI stays pending. This is the model checker's
+    /// step surface — it lets the explorer schedule IPI delivery as its own
+    /// step and so enumerate the store/IPI interleavings that the polling
+    /// accessors (which service interrupts immediately, like an
+    /// interruptible kernel path) never produce. Workloads use `write_u64`.
     pub fn write_u64_no_irq(
         &mut self,
         hv: &mut Hypervisor,
@@ -954,7 +932,7 @@ impl GuestKernel {
         value: u64,
         lane: Lane,
     ) -> Result<(), GuestError> {
-        self.write_bytes_no_irq(hv, pid, gva, &value.to_le_bytes(), lane)
+        self.write_bytes_inner(hv, pid, gva, &value.to_le_bytes(), lane, false)
     }
 
     pub fn read_u64(

@@ -25,7 +25,8 @@ impl GuestKernel {
     ) -> Result<Gpa, GuestError> {
         if !self.process(pid)?.resident.contains_key(&gva.page()) {
             // Demand-fault the page in with a kernel-initiated touch.
-            self.access(hv, pid, gva.page_base(), true, ooh_sim::Lane::Kernel)?;
+            self.access_page(hv, pid, gva.page_base(), true, ooh_sim::Lane::Kernel)?;
+            self.poll_interrupts(hv)?;
         }
         let gpa_page = *self
             .process(pid)?

@@ -6,7 +6,7 @@ use crate::hypercall::{Hypercall, HypercallResult};
 use crate::vm::{SpmlState, Vm, VmId};
 use ooh_machine::{
     AccessOk, DirtyBitmap, Fault, Field, Gpa, Gva, Hpa, Machine, MachineConfig, MachineError, Mmu,
-    PmlEvent, RingView, StateHasher, VmxMode, EPML_SELF_IPI_VECTOR, PML_ENTRIES,
+    PmlEvent, RingView, VmxMode, EPML_SELF_IPI_VECTOR,
 };
 use ooh_sim::{Event, Lane, SimCtx};
 
@@ -513,110 +513,6 @@ impl Hypervisor {
         self.vms[vm.0 as usize].vcpus[vcpu as usize]
             .pml
             .note_guest_dirty_cleared(gva.page());
-    }
-
-    /// Fold the model-observable state of one vCPU (plus its VM's SPML
-    /// coordination flags and guest ring) into `h`. This is the machine half
-    /// of the `ooh-model` explorer's state-hash deduplication key; clocks,
-    /// event counters, and TLB hit/miss statistics are deliberately excluded
-    /// because they never feed back into protocol decisions.
-    pub fn hash_vm_state(
-        &self,
-        vm: VmId,
-        vcpu: u32,
-        h: &mut StateHasher,
-    ) -> Result<(), MachineError> {
-        let vmref = &self.vms[vm.0 as usize];
-        let vc = &vmref.vcpus[vcpu as usize];
-        h.write_u64(vc.cr3.raw());
-        h.write_u64(vc.pending_vectors.len() as u64);
-        for &vector in &vc.pending_vectors {
-            h.write_u64(u64::from(vector));
-        }
-        h.write_bool(vmref.spml.enabled_by_guest);
-        h.write_bool(vmref.spml.guest_logging_on);
-        h.write_bool(vmref.spml.enabled_by_hyp);
-        h.write_bool(vc.pml.hyp_logging);
-        h.write_bool(vc.pml.guest_logging);
-        match &vc.pml.hyp {
-            Some(buf) => {
-                h.write_bool(true);
-                buf.hash_state(&self.machine.phys, h)?;
-            }
-            None => h.write_bool(false),
-        }
-        match &vc.pml.guest {
-            Some(buf) => {
-                h.write_bool(true);
-                buf.hash_state(&self.machine.phys, h)?;
-            }
-            None => h.write_bool(false),
-        }
-        vc.tlb.hash_state(h);
-        match vmref.spml.guest_ring.as_ref() {
-            Some(ring) => {
-                h.write_bool(true);
-                ring.hash_state(&self.machine.phys, h)?;
-            }
-            None => h.write_bool(false),
-        }
-        Ok(())
-    }
-
-    /// Ring accessors through the hypervisor's physical view, so guest-side
-    /// crates (which hold `RingView`s but must not touch host frames
-    /// directly) can observe queue state for model properties.
-    pub fn ring_len(&self, ring: &RingView) -> Result<u64, MachineError> {
-        ring.len(&self.machine.phys)
-    }
-
-    /// Total entries the ring has dropped (see [`Self::ring_len`]).
-    pub fn ring_dropped(&self, ring: &RingView) -> Result<u64, MachineError> {
-        ring.dropped(&self.machine.phys)
-    }
-
-    /// Fold a ring's observable state into `h` (see [`Self::ring_len`]).
-    pub fn hash_ring(&self, ring: &RingView, h: &mut StateHasher) -> Result<(), MachineError> {
-        ring.hash_state(&self.machine.phys, h)
-    }
-
-    /// Interrupt vectors queued on `vcpu` but not yet delivered. The model
-    /// checker uses this to decide whether an IPI-delivery step is enabled.
-    pub fn pending_vector_count(&self, vm: VmId, vcpu: u32) -> usize {
-        self.vms[vm.0 as usize].vcpus[vcpu as usize]
-            .pending_vectors
-            .len()
-    }
-
-    /// Discard every queued vector without delivering it, returning how many
-    /// were dropped. This is a *fault injection* hook for the model checker's
-    /// self-validation (the "lost IPI" mutation); production code never drops
-    /// posted interrupts.
-    pub fn discard_pending_interrupts(&mut self, vm: VmId, vcpu: u32) -> usize {
-        let vc = &mut self.vms[vm.0 as usize].vcpus[vcpu as usize];
-        let n = vc.pending_vectors.len();
-        vc.pending_vectors.clear();
-        n
-    }
-
-    /// Free entry slots in the EPML guest buffer (`None` when EPML is not
-    /// active on the vcpu). `Some(0)` means the next logged write takes the
-    /// buffer-full path.
-    pub fn guest_pml_free_slots(&self, vm: VmId, vcpu: u32) -> Option<u64> {
-        let vc = &self.vms[vm.0 as usize].vcpus[vcpu as usize];
-        vc.pml
-            .guest
-            .as_ref()
-            .map(|buf| u64::from(PML_ENTRIES) - u64::from(buf.len()))
-    }
-
-    /// Free entry slots in the hypervisor PML buffer (`None` when absent).
-    pub fn hyp_pml_free_slots(&self, vm: VmId, vcpu: u32) -> Option<u64> {
-        let vc = &self.vms[vm.0 as usize].vcpus[vcpu as usize];
-        vc.pml
-            .hyp
-            .as_ref()
-            .map(|buf| u64::from(PML_ENTRIES) - u64::from(buf.len()))
     }
 
     /// Execute a guest-mode `vmread` on `vcpu`.

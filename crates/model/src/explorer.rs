@@ -7,8 +7,10 @@
 //! and replays the path prefix. Every boot and replay is deterministic, so
 //! the restored state is bit-identical to the one left behind.
 
-use ooh_core::{ModelError, ModelPort, ModelSession, ModelViolation, Mutation, Scenario, Step};
-use ooh_core::{technique_token, Technique};
+use crate::session::{
+    technique_token, ModelError, ModelSession, ModelViolation, Mutation, Scenario, Step,
+};
+use ooh_core::Technique;
 use ooh_machine::StateHasher;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -26,7 +28,7 @@ pub struct ModelConfig {
 
 impl ModelConfig {
     pub fn boot(&self) -> Result<ModelSession, ModelError> {
-        ModelSession::boot_with_vcpus(self.technique, self.scenario, self.mutation, self.vcpus)
+        ModelSession::boot(self.technique, self.scenario, self.mutation, self.vcpus)
     }
 
     /// `scenario/technique` label used in summaries and file names (with a

@@ -2,7 +2,7 @@
 //!
 //! The simulator executes one interleaving of the OoH protocols per run; the
 //! tests hand-pick a few. This crate explores *all* interleavings of the
-//! schedulable atomic actions ([`ooh_core::Step`]) up to a configurable
+//! schedulable atomic actions ([`Step`]) up to a configurable
 //! depth, checking safety properties on every path:
 //!
 //! * **P1 — no lost or ghost dirty page**: every collect is compared against
@@ -18,15 +18,18 @@
 //! * **P5 — per-lane virtual clocks are monotone**.
 //!
 //! State explosion is tamed with sleep-set partial-order reduction (over the
-//! conservative [`ooh_core::ModelPort::commutes`] relation) and state-hash
-//! deduplication. On a violation the [`shrink`] module minimizes the
-//! schedule with a greedy ddmin pass and [`schedule`] serializes it to a
-//! replayable text file (see `tests/model_corpus/` at the workspace root).
+//! conservative [`ModelSession::commutes`] relation) and state-hash
+//! deduplication. On a violation the [`shrink`](mod@shrink) module
+//! minimizes the schedule with a greedy ddmin pass and [`schedule`]
+//! serializes it to a replayable text file (see `tests/model_corpus/` at
+//! the workspace root). The system under test — the step surface and the
+//! booted stack it drives — is [`session`].
 
 #![forbid(unsafe_code)]
 
 pub mod explorer;
 pub mod schedule;
+pub mod session;
 pub mod shrink;
 
 pub use explorer::{
@@ -34,4 +37,8 @@ pub use explorer::{
     ReplayOutcome,
 };
 pub use schedule::{ParseError, ScheduleFile};
+pub use session::{
+    technique_from_token, technique_token, ModelError, ModelSession, ModelViolation, Mutation,
+    Scenario, Step,
+};
 pub use shrink::{shrink, ShrinkOutcome};

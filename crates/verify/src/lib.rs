@@ -664,7 +664,7 @@ const TOKEN_RULES: &[TokenRule] = &[
         rule: "arch-panic",
         applies: no_panic_crate,
         seq: &[".", "unwrap", "(", ")"],
-        label: ".unwrap())",
+        label: ".unwrap()",
         message: "propagate the error instead of panicking",
     },
     TokenRule {

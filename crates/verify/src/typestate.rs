@@ -163,8 +163,6 @@ const DBIT_NOTIFY: &[(u8, EventPat, u8)] = &[
 /// Free-slot / capacity probes that establish the ring-guard state.
 const RING_PROBES: &[&str] = &[
     "free_slots",
-    "guest_pml_free_slots",
-    "hyp_pml_free_slots",
     "is_full",
     "has_space",
 ];

@@ -93,7 +93,7 @@ fn trace_attribution_matches_old_data_path() {
 
     let ctx = SimCtx::new();
     let tracer = Tracer::install(&ctx);
-    let mut stack = Stack::boot_with_ctx(8 * 1024, ctx);
+    let mut stack = Stack::boot_with_ctx_vcpus(8 * 1024, ctx, 1);
     let mut w = micro(4, 2);
     let steps_per_pass = w.num_pages.div_ceil(256) as u32;
     let _ = run_tracked_on(&mut stack, Technique::Epml, &mut w, steps_per_pass)

@@ -74,7 +74,7 @@ fn smp_scenario_is_byte_identical_across_runs() {
     use ooh::bench::{run_tracked_on, Stack};
 
     let run = |technique: Technique| {
-        let mut stack = Stack::boot_with_vcpus(1024, 4);
+        let mut stack = Stack::boot_with_ctx_vcpus(1024, SimCtx::new(), 4);
         for _ in 1..4 {
             stack.kernel.spawn(&mut stack.hv).expect("background spawn");
         }
@@ -119,7 +119,7 @@ fn trace_on_and_trace_off_runs_are_byte_identical() {
 
         let ctx = SimCtx::new();
         let tracer = Tracer::install(&ctx);
-        let mut stack = Stack::boot_with_ctx(8 * 1024, ctx);
+        let mut stack = Stack::boot_with_ctx_vcpus(8 * 1024, ctx, 1);
         let mut w = micro(4, 2);
         let steps_per_pass = w.num_pages.div_ceil(256) as u32;
         let run = run_tracked_on(&mut stack, technique, &mut w, steps_per_pass)

@@ -303,7 +303,7 @@ fn arch_panic_catches_unwrap() {
             "arch-panic",
             5,
             19,
-            "`.unwrap())` in crate `machine`: propagate the error instead of panicking",
+            "`.unwrap()` in crate `machine`: propagate the error instead of panicking",
         )],
     );
 }

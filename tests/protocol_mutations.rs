@@ -99,9 +99,10 @@ fn clear_before_drain_is_caught_statically() {
     assert_single_protocol_finding(&vs, "drain-before-clear", "crates/guest/src/ooh_module.rs");
 }
 
-/// Model mutation `DropIpi` (`discard_pending_interrupts`): the
-/// GuestBufferFull dispatch arm never posts the EPML self-IPI. The
-/// static equivalent deletes the `post_interrupt` call.
+/// Model mutation `DropIpi` (the model session discards the pending
+/// vectors instead of delivering them): the GuestBufferFull dispatch arm
+/// never posts the EPML self-IPI. The static equivalent deletes the
+/// `post_interrupt` call.
 #[test]
 fn drop_ipi_is_caught_statically() {
     let vs = scan_mutated("crates/hypervisor/src/hypervisor.rs", |src| {

@@ -19,7 +19,7 @@ use ooh::workloads::{micro, phoenix, SizeClass};
 fn traced_stack() -> (Stack, std::sync::Arc<Tracer>) {
     let ctx = SimCtx::new();
     let tracer = Tracer::install(&ctx);
-    (Stack::boot_with_ctx(2 * 1024, ctx), tracer)
+    (Stack::boot_with_ctx_vcpus(2 * 1024, ctx, 1), tracer)
 }
 
 /// The compare_techniques scenario under every technique: conservation must
@@ -70,7 +70,7 @@ fn conservation_holds_for_seeded_phoenix_run() {
 /// what makes the passing checks above meaningful.
 #[test]
 fn late_install_fails_conservation() {
-    let mut stack = Stack::boot_with_ram(2 * 1024); // boot charges untraced
+    let mut stack = Stack::boot_with_ctx_vcpus(2 * 1024, SimCtx::new(), 1); // boot charges untraced
     let ctx = stack.ctx();
     let tracer = Tracer::install(&ctx);
     let mut w = micro(1, 1);
