@@ -6,7 +6,7 @@
 //! time); let the workload finish; final dump. Overhead on Tracked
 //! (Figure 9) is the end-to-end slowdown versus the same run without CRIU.
 
-use crate::scenario::Stack;
+use crate::scenario::{run_baseline, Stack};
 use ooh_core::Technique;
 use ooh_criu::{Criu, CriuConfig};
 use ooh_guest::GuestError;
@@ -68,16 +68,7 @@ pub struct CriuRun {
 
 /// Untracked end-to-end time for `app` (the Figure 9 baseline).
 pub fn criu_baseline(app: App, size: SizeClass) -> Result<u64, GuestError> {
-    let mut stack = Stack::boot();
-    let ctx = stack.ctx();
-    let mut w = app.build(size, 99);
-    let mut env = WorkEnv::new(&mut stack.hv, &mut stack.kernel, stack.pid);
-    w.setup(&mut env)?;
-    let t0 = ctx.now_ns();
-    while !w.step(&mut env)? {
-        env.timer_tick()?;
-    }
-    Ok(ctx.now_ns() - t0)
+    run_baseline(&mut *app.build(size, 99))
 }
 
 /// Run `app` under CRIU with `technique`; checkpoint at the half-way point.
@@ -97,12 +88,7 @@ pub fn run_criu(app: App, size: SizeClass, technique: Technique) -> Result<CriuR
     )?;
     let t0 = ctx.now_ns();
 
-    // First half of the run, counted by steps of a dry probe: we just step
-    // until the workload reports done, checkpointing once at step N/2 —
-    // but N is unknown up front, so checkpoint when a step counter hits a
-    // heuristic midpoint estimated from a counting pass is overkill; use
-    // "checkpoint after 50% of steps seen so far doubles" — simply: step
-    // until done, checkpointing once when the step count reaches 32.
+    // Checkpoint at step 32, or at the end for runs shorter than that.
     let mut steps = 0u32;
     let mut dump: Option<(u64, u64, u64, u64)> = None;
     let mut done = false;

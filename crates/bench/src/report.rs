@@ -30,11 +30,6 @@ pub fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
 
-/// ns → seconds for display.
-pub fn secs(ns: u64) -> f64 {
-    ns as f64 / 1e9
-}
-
 /// Trace mode is on when `OOH_TRACE` is set to anything but empty or `0`:
 /// the binary installs a tracer, re-derives its table from the trace, and
 /// writes the profile artifacts.

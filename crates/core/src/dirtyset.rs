@@ -74,11 +74,6 @@ impl DirtySet {
     pub fn bitmap(&self) -> &DirtyBitmap {
         &self.pages
     }
-
-    /// Consume into the underlying bitmap.
-    pub fn into_bitmap(self) -> DirtyBitmap {
-        self.pages
-    }
 }
 
 impl FromIterator<Gva> for DirtySet {

@@ -1,15 +1,15 @@
 //! # ooh-core — the OoH userspace library
 //!
 //! The paper's primary contribution, as a library: a single
-//! [`DirtyPageTracker`] abstraction with four interchangeable
-//! implementations —
+//! [`DirtyPageTracker`] abstraction with four interchangeable techniques
+//! over three implementations —
 //!
-//! | technique | mechanism | logs | bottleneck |
-//! |---|---|---|---|
-//! | [`ProcTracker`] | soft-dirty bits (`clear_refs`/`pagemap`) | PTE bits | pagemap scan (M16) + write faults (M5) |
-//! | [`UfdTracker`] | userfaultfd write-protect | fault events | userspace fault handling (M6) |
-//! | [`SpmlTracker`] | hypervisor-emulated PML (OoH software design) | GPAs | reverse mapping (M17) + hypercalls |
-//! | [`EpmlTracker`] | hardware-extended PML (OoH hardware design) | GVAs | nothing size-dependent but the ring copy (M18) |
+//! | technique | implementation | mechanism | logs | bottleneck |
+//! |---|---|---|---|---|
+//! | /proc | [`ProcTracker`] | soft-dirty bits (`clear_refs`/`pagemap`) | PTE bits | pagemap scan (M16) + write faults (M5) |
+//! | ufd | [`UfdTracker`] | userfaultfd write-protect | fault events | userspace fault handling (M6) |
+//! | SPML | [`PmlTracker`] (`OohMode::Spml`) | hypervisor-emulated PML (OoH software design) | GPAs | reverse mapping (M17) + hypercalls |
+//! | EPML | [`PmlTracker`] (`OohMode::Epml`) | hardware-extended PML (OoH hardware design) | GVAs | nothing size-dependent but the ring copy (M18) |
 //!
 //! plus [`OohSession`], the application-facing facade, and the
 //! [`revmap`] module implementing SPML's GPA→GVA resolution.
@@ -17,23 +17,21 @@
 #![forbid(unsafe_code)]
 
 pub mod dirtyset;
-pub mod epml;
 #[cfg(feature = "debug-invariants")]
 pub mod invariants;
+pub mod pml;
 pub mod policy;
 pub mod proc_tracker;
 pub mod revmap;
 pub mod session;
-pub mod spml;
 pub mod tracker;
 pub mod ufd_tracker;
 
 pub use dirtyset::DirtySet;
-pub use epml::EpmlTracker;
+pub use pml::PmlTracker;
 pub use policy::{dirty_rate_pps, ConvergencePolicy, Decision, PolicyState};
 pub use proc_tracker::ProcTracker;
 pub use session::OohSession;
-pub use spml::SpmlTracker;
 pub use tracker::{make_tracker, DirtyPageTracker, TrackEnv, Technique};
 pub use ufd_tracker::UfdTracker;
 

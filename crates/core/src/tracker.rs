@@ -8,8 +8,9 @@
 //! (phase 4 — CRIU writes pages, the GC re-marks them).
 
 use crate::dirtyset::DirtySet;
-use ooh_guest::{GuestError, GuestKernel, Pid};
+use ooh_guest::{GuestError, GuestKernel, OohMode, Pid};
 use ooh_hypervisor::Hypervisor;
+use ooh_machine::GvaRange;
 use serde::Serialize;
 
 /// The four techniques the paper compares.
@@ -37,11 +38,6 @@ impl Technique {
             Technique::Epml => "EPML",
         }
     }
-
-    /// Does this technique require the EPML hardware extension?
-    pub fn needs_epml_hw(self) -> bool {
-        self == Technique::Epml
-    }
 }
 
 /// Everything a tracker operation needs: the stack plus the monitored PID.
@@ -54,6 +50,20 @@ pub struct TrackEnv<'a> {
 impl<'a> TrackEnv<'a> {
     pub fn new(hv: &'a mut Hypervisor, kernel: &'a mut GuestKernel, pid: Pid) -> Self {
         Self { hv, kernel, pid }
+    }
+
+    /// The monitored process's writable VMAs as they stand now — the region
+    /// a tracker registers, re-read as a real tracker re-reads
+    /// /proc/PID/maps.
+    pub(crate) fn writable_ranges(&self) -> Result<Vec<GvaRange>, GuestError> {
+        Ok(self
+            .kernel
+            .process(self.pid)?
+            .vmas
+            .iter()
+            .filter(|v| v.writable)
+            .map(|v| v.range)
+            .collect())
     }
 }
 
@@ -88,8 +98,8 @@ pub fn make_tracker(technique: Technique) -> Box<dyn DirtyPageTracker> {
     match technique {
         Technique::Proc => Box::new(crate::proc_tracker::ProcTracker::new()),
         Technique::Ufd => Box::new(crate::ufd_tracker::UfdTracker::new()),
-        Technique::Spml => Box::new(crate::spml::SpmlTracker::new()),
-        Technique::Epml => Box::new(crate::epml::EpmlTracker::new()),
+        Technique::Spml => Box::new(crate::pml::PmlTracker::new(OohMode::Spml)),
+        Technique::Epml => Box::new(crate::pml::PmlTracker::new(OohMode::Epml)),
     }
 }
 
@@ -101,8 +111,6 @@ mod tests {
     fn technique_names() {
         assert_eq!(Technique::Proc.name(), "/proc");
         assert_eq!(Technique::Epml.name(), "EPML");
-        assert!(Technique::Epml.needs_epml_hw());
-        assert!(!Technique::Spml.needs_epml_hw());
     }
 
     #[test]

@@ -58,13 +58,7 @@ impl DirtyPageTracker for UfdTracker {
         // Register VMAs that appeared since the last round (the paper's
         // trackers call UFFDIO_REGISTER as the monitored region grows),
         // then re-protect the whole region.
-        let current: Vec<GvaRange> = env
-            .kernel
-            .vmas(env.pid)?
-            .iter()
-            .filter(|v| v.writable)
-            .map(|v| v.range)
-            .collect();
+        let current = env.writable_ranges()?;
         for range in &current {
             if !self.registered.contains(range) {
                 env.kernel.ufd_register(env.hv, id, *range);
@@ -84,14 +78,7 @@ impl DirtyPageTracker for UfdTracker {
         // events for a range unmapped mid-round describe translations that
         // no longer exist, and the pagemap- and PML-based collectors all
         // drop such pages too.
-        let live: Vec<GvaRange> = env
-            .kernel
-            .vmas(env.pid)?
-            .iter()
-            .filter(|v| v.writable)
-            .map(|v| v.range)
-            .collect();
-        out.retain_within(&live);
+        out.retain_within(&env.writable_ranges()?);
         Ok(out)
     }
 

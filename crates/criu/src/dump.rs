@@ -19,32 +19,28 @@ use ooh_hypervisor::Hypervisor;
 use ooh_sim::{Event, Lane};
 use serde::Serialize;
 
-/// Checkpointer tunables.
+/// Sequential (batched) per-page dump cost: memory read + image write
+/// (≈3.9 µs/page reproduces the paper's E(C_p)=251 ms for the 253 MB
+/// `baby` workload).
+const PAGE_DUMP_NS: u64 = 3_900;
+
+/// Extra per-page overhead when pages are written unbatched, one write(2)
+/// at a time, as the /proc-interleaved path does (two user/kernel
+/// crossings).
+const UNBATCHED_OVERHEAD_NS: u64 = 630;
+
+/// Pages per batched write for the PML paths.
+const WRITE_BATCH_PAGES: u64 = 512;
+
+/// Checkpointer configuration: the tracking technique it dumps with.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct CriuConfig {
     pub technique: Technique,
-    /// Sequential (batched) per-page dump cost: memory read + image write
-    /// (≈3.9 µs/page reproduces the paper's E(C_p)=251 ms for the 253 MB
-    /// `baby` workload).
-    pub page_dump_ns: u64,
-    /// Extra per-page overhead when pages are written unbatched, one
-    /// write(2) at a time, as the /proc-interleaved path does.
-    pub unbatched_overhead_ns: u64,
-    /// Pages per batched write for the PML paths.
-    pub write_batch_pages: u64,
-    /// Number of pre-dump (pre-copy) rounds before the final dump.
-    pub predump_rounds: u32,
 }
 
 impl CriuConfig {
     pub fn new(technique: Technique) -> Self {
-        Self {
-            technique,
-            page_dump_ns: 3_900,
-            unbatched_overhead_ns: 630, // two user/kernel crossings
-            write_batch_pages: 512,
-            predump_rounds: 0,
-        }
+        Self { technique }
     }
 }
 
@@ -126,11 +122,11 @@ impl Criu {
                 .expect("resident page must be mapped");
             let bytes = *hv.machine.phys.frame_bytes(hpa)?;
             img.put_page(gva.page(), &bytes);
-            let mut cost = self.config.page_dump_ns;
+            let mut cost = PAGE_DUMP_NS;
             if !batched {
-                cost += self.config.unbatched_overhead_ns;
+                cost += UNBATCHED_OVERHEAD_NS;
                 ctx.counters().add(Event::ContextSwitch, 1);
-            } else if written.is_multiple_of(self.config.write_batch_pages) {
+            } else if written.is_multiple_of(WRITE_BATCH_PAGES) {
                 ctx.charge(Lane::Tracker, Event::ContextSwitch);
             }
             ctx.advance(Lane::Tracker, cost);

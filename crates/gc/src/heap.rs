@@ -149,13 +149,6 @@ impl GcHeap {
             .map(|m| (m.size_words as u64 + 1) * WORD)
             .sum()
     }
-
-    /// Fraction of the arena in use (bump high-water minus free space).
-    pub fn utilization(&self) -> f64 {
-        let used = self.bump - self.range.start.raw()
-            - self.free.values().map(|w| w * WORD).sum::<u64>();
-        used as f64 / self.range.len_bytes() as f64
-    }
 }
 
 impl std::fmt::Debug for GcHeap {

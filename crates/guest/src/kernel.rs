@@ -206,11 +206,6 @@ impl GuestKernel {
         self.current[self.vcpu as usize]
     }
 
-    /// The process running on `vcpu`.
-    pub fn current_on(&self, vcpu: u32) -> Option<Pid> {
-        self.current.get(vcpu as usize).copied().flatten()
-    }
-
     // --- memory mapping -----------------------------------------------------
 
     /// mmap: reserve `pages` pages (lazy; PTEs appear on first touch).

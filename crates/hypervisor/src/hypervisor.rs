@@ -48,9 +48,6 @@ impl Hypervisor {
         for vcpu in &mut vm.vcpus {
             let pml_page = self.machine.phys.alloc_frame()?;
             vcpu.epml_hw = self.machine.config.epml;
-            if let Some(cap) = self.machine.config.tlb_capacity {
-                vcpu.tlb = ooh_machine::Tlb::with_capacity(cap);
-            }
             vcpu.vmcs
                 .vmwrite(VmxMode::Root, Field::PmlAddress, pml_page.raw())?;
             vcpu.sync_pml_from_vmcs();
@@ -65,10 +62,6 @@ impl Hypervisor {
 
     pub fn vm_mut(&mut self, id: VmId) -> &mut Vm {
         &mut self.vms[id.0 as usize]
-    }
-
-    pub fn vm_count(&self) -> usize {
-        self.vms.len()
     }
 
     /// Split borrow: one VM plus the physical memory, for callers that walk
@@ -445,9 +438,6 @@ impl Hypervisor {
                 Ok(HypercallResult::Ok)
             }
             Hypercall::SppSetMask { gpa, mask } => {
-                if !self.machine.config.spp {
-                    return Ok(HypercallResult::Invalid);
-                }
                 self.ctx.charge(lane, Event::SppUpdate);
                 let vmref = &mut self.vms[vm.0 as usize];
                 // The page must be guest RAM of this VM.

@@ -114,7 +114,8 @@ impl Vm {
     /// huge EPT leaf. GPA pages skipped for alignment go on the free list so
     /// later 4K allocations recycle them. Freeing is still per-4K-page via
     /// [`Self::free_guest_page`] — the EPT auto-demotes on the first unmap
-    /// inside the region.
+    /// inside the region. The GPA space is committed only once the host
+    /// frames are in hand and mapped, so a failed call strands no GPAs.
     pub fn alloc_guest_huge_region(
         &mut self,
         phys: &mut HostPhys,
@@ -125,14 +126,14 @@ impl Vm {
                 free_frames: self.ram_pages - self.allocated_pages,
             });
         }
+        let hpa = phys.alloc_frames_contiguous(HUGE_PAGE_PAGES, HUGE_PAGE_PAGES)?;
         let base_page = self.next_gpa_page.next_multiple_of(HUGE_PAGE_PAGES);
+        let gpa = Gpa::from_page(base_page);
+        self.ept.map_huge(phys, gpa, hpa)?;
         for p in self.next_gpa_page..base_page {
             self.free_gpa_pages.push(p);
         }
         self.next_gpa_page = base_page + HUGE_PAGE_PAGES;
-        let hpa = phys.alloc_frames_contiguous(HUGE_PAGE_PAGES, HUGE_PAGE_PAGES)?;
-        let gpa = Gpa::from_page(base_page);
-        self.ept.map_huge(phys, gpa, hpa)?;
         self.allocated_pages += HUGE_PAGE_PAGES;
         Ok(gpa)
     }
@@ -287,6 +288,24 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(h5.raw() - h0.raw(), 5 * PAGE_SIZE);
+    }
+
+    #[test]
+    fn failed_huge_alloc_strands_no_gpa_pages() {
+        // Host RAM with plenty of free frames but no 2M-aligned contiguous
+        // run left: the huge allocation fails in the host allocator.
+        let mut phys = HostPhys::new(1000 * PAGE_SIZE);
+        let mut vm = Vm::new(VmId(0), &mut phys, 900 * PAGE_SIZE, 1).unwrap();
+        let first = vm.alloc_guest_page(&mut phys).unwrap();
+        assert!(matches!(
+            vm.alloc_guest_huge_region(&mut phys),
+            Err(MachineError::OutOfMemory { .. })
+        ));
+        assert_eq!(vm.allocated_pages(), 1);
+        // The next 4K allocation gets the GPA it would have got had the
+        // failed call never happened.
+        let next = vm.alloc_guest_page(&mut phys).unwrap();
+        assert_eq!(next.page(), first.page() + 1);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The paper's related work (§VII) cites the authors' prior extension of
 //! PML to "log read pages in order to efficiently estimate VM working set
-//! size". With the PML-R machine extension
-//! ([`ooh_machine::MachineConfig::pml_read_logging`]), the logging circuit
-//! also appends GPAs on EPT *accessed*-bit transitions; the estimator
+//! size". With the PML-R machine extension (present on every modelled
+//! machine, see [`ooh_machine::MachineConfig`]), the logging circuit also
+//! appends GPAs on EPT *accessed*-bit transitions; the estimator
 //! periodically clears accessed bits and counts distinct logged pages per
 //! interval — a WSS sample, without write-protecting or pausing the guest.
 
@@ -31,12 +31,9 @@ pub struct WssEstimator {
 }
 
 impl WssEstimator {
-    /// Begin estimating `vm`'s working set. Requires PML-R hardware. Resets
+    /// Begin estimating `vm`'s working set over PML-R. Resets
     /// accessed/dirty state so the first interval starts clean.
     pub fn start(hv: &mut Hypervisor, vm: VmId) -> Result<Self, MachineError> {
-        if !hv.machine.config.pml_read_logging {
-            return Err(MachineError::EpmlNotSupported);
-        }
         {
             let (vmref, phys) = hv.vm_and_phys_mut(vm);
             vmref.ept.clear_all_accessed(phys)?;

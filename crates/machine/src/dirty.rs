@@ -105,31 +105,6 @@ impl DirtyBitmap {
         }
     }
 
-    /// Set every bit in `[first_page, first_page + pages)` — O(words).
-    pub fn insert_range(&mut self, first_page: u64, pages: u64) {
-        if pages == 0 {
-            return;
-        }
-        let last = first_page + pages; // exclusive
-        let mut chunk_idx = first_page / CHUNK_PAGES;
-        while chunk_idx * CHUNK_PAGES < last {
-            let chunk_base = chunk_idx * CHUNK_PAGES;
-            let lo = first_page.max(chunk_base) - chunk_base;
-            let hi = last.min(chunk_base + CHUNK_PAGES) - chunk_base;
-            let chunk = self.chunks.entry(chunk_idx).or_insert_with(new_chunk);
-            for w in (lo / 64)..hi.div_ceil(64) {
-                let word_base = w * 64;
-                let from = lo.max(word_base) - word_base;
-                let to = hi.min(word_base + 64) - word_base;
-                let mask = word_mask(from, to);
-                let slot = &mut chunk[w as usize];
-                self.len += (mask & !*slot).count_ones() as usize;
-                *slot |= mask;
-            }
-            chunk_idx += 1;
-        }
-    }
-
     /// Iterate the set pages in ascending order (`trailing_zeros` per word).
     pub fn pages(&self) -> impl Iterator<Item = u64> + '_ {
         self.chunks.iter().flat_map(|(&ci, chunk)| {
@@ -272,93 +247,6 @@ impl DirtyBitmap {
             *slot |= b;
         }
         self.len += added;
-    }
-
-    /// Clear every bit in `[first_page, first_page + pages)` — O(words
-    /// overlapping the range). Returns how many pages were cleared. A range
-    /// that starts or ends mid-word must leave the other bits of the shared
-    /// boundary word untouched (the 512-page huge-entry expansions lean on
-    /// this), and emptied chunks are pruned so `PartialEq` stays semantic.
-    pub fn clear_range(&mut self, first_page: u64, pages: u64) -> usize {
-        if pages == 0 {
-            return 0;
-        }
-        let last = first_page + pages; // exclusive
-        let mut removed = 0usize;
-        let mut emptied = Vec::new();
-        for (&ci, chunk) in self
-            .chunks
-            .range_mut(first_page / CHUNK_PAGES..=(last - 1) / CHUNK_PAGES)
-        {
-            let chunk_base = ci * CHUNK_PAGES;
-            let lo = first_page.max(chunk_base) - chunk_base;
-            let hi = last.min(chunk_base + CHUNK_PAGES) - chunk_base;
-            for w in (lo / 64)..hi.div_ceil(64) {
-                let word_base = w * 64;
-                let from = lo.max(word_base) - word_base;
-                let to = hi.min(word_base + 64) - word_base;
-                let mask = word_mask(from, to);
-                let slot = &mut chunk[w as usize];
-                removed += (*slot & mask).count_ones() as usize;
-                *slot &= !mask;
-            }
-            if chunk.iter().all(|&w| w == 0) {
-                emptied.push(ci);
-            }
-        }
-        for ci in emptied {
-            self.chunks.remove(&ci);
-        }
-        self.len -= removed;
-        removed
-    }
-
-    /// Remove and return the pages in `[first_page, first_page + pages)` —
-    /// the range-scoped counterpart of [`take`](Self::take), O(words
-    /// overlapping the range). Same boundary contract as
-    /// [`clear_range`](Self::clear_range).
-    pub fn take_range(&mut self, first_page: u64, pages: u64) -> DirtyBitmap {
-        let mut out = DirtyBitmap::new();
-        if pages == 0 {
-            return out;
-        }
-        let last = first_page + pages; // exclusive
-        let mut emptied = Vec::new();
-        for (&ci, chunk) in self
-            .chunks
-            .range_mut(first_page / CHUNK_PAGES..=(last - 1) / CHUNK_PAGES)
-        {
-            let chunk_base = ci * CHUNK_PAGES;
-            let lo = first_page.max(chunk_base) - chunk_base;
-            let hi = last.min(chunk_base + CHUNK_PAGES) - chunk_base;
-            let mut taken = new_chunk();
-            let mut ones = 0usize;
-            for w in (lo / 64)..hi.div_ceil(64) {
-                let word_base = w * 64;
-                let from = lo.max(word_base) - word_base;
-                let to = hi.min(word_base + 64) - word_base;
-                let mask = word_mask(from, to);
-                let slot = &mut chunk[w as usize];
-                let v = *slot & mask;
-                if v != 0 {
-                    taken[w as usize] = v;
-                    ones += v.count_ones() as usize;
-                    *slot &= !mask;
-                }
-            }
-            if ones > 0 {
-                out.len += ones;
-                out.chunks.insert(ci, taken);
-            }
-            if chunk.iter().all(|&w| w == 0) {
-                emptied.push(ci);
-            }
-        }
-        for ci in emptied {
-            self.chunks.remove(&ci);
-        }
-        self.len -= out.len;
-        out
     }
 
     /// Take the whole set, leaving `self` empty — O(1).
@@ -552,19 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_range_spans_words_and_chunks() {
-        let mut b = DirtyBitmap::new();
-        b.insert_range(CHUNK_PAGES - 70, 140); // straddles a chunk boundary
-        assert_eq!(b.len(), 140);
-        let want: Vec<u64> = (CHUNK_PAGES - 70..CHUNK_PAGES + 70).collect();
-        assert_eq!(b.pages().collect::<Vec<_>>(), want);
-        b.insert_range(CHUNK_PAGES - 70, 140); // idempotent
-        assert_eq!(b.len(), 140);
-        b.insert_range(10, 0); // empty range is a no-op
-        assert_eq!(b.len(), 140);
-    }
-
-    #[test]
     fn merge_difference_model() {
         let a: DirtyBitmap = [1u64, 63, 64, CHUNK_PAGES, CHUNK_PAGES + 1].into_iter().collect();
         let b: DirtyBitmap = [63u64, CHUNK_PAGES, 5000 * CHUNK_PAGES].into_iter().collect();
@@ -611,46 +486,6 @@ mod tests {
         b.retain_within(&keep);
         assert_eq!(b.len(), 15);
         assert_eq!(b.pages().collect::<Vec<_>>(), (0..15u64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn clear_range_mid_word_boundaries() {
-        // A range ending mid-word must not clear the rest of the shared word,
-        // and one starting mid-word must not clear the bits below it.
-        let mut b: DirtyBitmap = (0..128u64).collect();
-        assert_eq!(b.clear_range(3, 60), 60); // clears 3..63, keeps 0..3 and 63
-        let mut want: Vec<u64> = (0..3u64).collect();
-        want.extend(63..128);
-        assert_eq!(b.pages().collect::<Vec<_>>(), want);
-        assert_eq!(b.len(), want.len());
-        // Empty range and a range over no set bits are no-ops.
-        assert_eq!(b.clear_range(70, 0), 0);
-        assert_eq!(b.clear_range(3, 10), 0);
-        // Clearing the whole chunk prunes it.
-        let mut c: DirtyBitmap = [5u64].into_iter().collect();
-        assert_eq!(c.clear_range(0, CHUNK_PAGES), 1);
-        assert_eq!(c, DirtyBitmap::new());
-    }
-
-    #[test]
-    fn take_range_splits_shared_words() {
-        // 512-page huge expansion starting mid-word: taken bits move, the
-        // shared-word neighbours stay.
-        let start = 100u64; // mid-word (100 % 64 == 36)
-        let mut b: DirtyBitmap = (start - 4..start + 512 + 4).collect();
-        let taken = b.take_range(start, 512);
-        assert_eq!(taken.len(), 512);
-        assert_eq!(
-            taken.pages().collect::<Vec<_>>(),
-            (start..start + 512).collect::<Vec<_>>()
-        );
-        let mut want: Vec<u64> = (start - 4..start).collect();
-        want.extend(start + 512..start + 516);
-        assert_eq!(b.pages().collect::<Vec<_>>(), want);
-        assert_eq!(b.len(), want.len());
-        // Taking an empty span yields an empty bitmap and changes nothing.
-        assert!(b.take_range(start, 512).is_empty());
-        assert_eq!(b.len(), want.len());
     }
 
     #[test]
@@ -710,7 +545,7 @@ mod tests {
 
     proptest::proptest! {
         /// The bitmap behaves exactly like a BTreeSet<u64> model under
-        /// random insert/remove/merge/difference/retain/range sequences.
+        /// random insert/remove/merge/difference/retain sequences.
         #[test]
         fn matches_btreeset_model(
             a in proptest::collection::vec(0u64..(3 * CHUNK_PAGES), 0..80),
@@ -743,48 +578,6 @@ mod tests {
             proptest::prop_assert_eq!(bm.pages().collect::<Vec<_>>(),
                                       rf.iter().copied().collect::<Vec<_>>());
             proptest::prop_assert_eq!(bm.len(), rf.len());
-        }
-
-        /// Range ops at deliberately word-misaligned boundaries behave like
-        /// the BTreeSet model: ranges start/end mid-word (offsets drawn from
-        /// 0..64, sizes not multiples of 64, including 512-page huge spans)
-        /// and must neither clear nor leak bits in the shared words.
-        #[test]
-        fn range_ops_match_model_at_word_boundaries(
-            seed in proptest::collection::vec(0u64..(3 * CHUNK_PAGES), 0..200),
-            word_off in 0u64..64,
-            base_word in 0u64..((3 * CHUNK_PAGES) / 64),
-            pages in 1u64..131,
-            take_side in 0u8..2,
-        ) {
-            // Map the top draw onto a full 512-page huge span so both
-            // mid-word slivers and region-sized ranges are exercised.
-            let pages = if pages == 130 { 512 } else { pages };
-            let take_side = take_side == 1;
-            let lo = base_word * 64 + word_off;
-            let mut bm: DirtyBitmap = seed.iter().copied().collect();
-            let mut rf: BTreeSet<u64> = seed.iter().copied().collect();
-
-            if take_side {
-                let taken = bm.take_range(lo, pages);
-                let rtaken: Vec<u64> =
-                    rf.iter().copied().filter(|&p| p >= lo && p < lo + pages).collect();
-                proptest::prop_assert_eq!(taken.pages().collect::<Vec<_>>(), rtaken.clone());
-                proptest::prop_assert_eq!(taken.len(), rtaken.len());
-                rf.retain(|&p| p < lo || p >= lo + pages);
-            } else {
-                let n = bm.clear_range(lo, pages);
-                let before = rf.len();
-                rf.retain(|&p| p < lo || p >= lo + pages);
-                proptest::prop_assert_eq!(n, before - rf.len());
-            }
-            proptest::prop_assert_eq!(bm.pages().collect::<Vec<_>>(),
-                                      rf.iter().copied().collect::<Vec<_>>());
-            proptest::prop_assert_eq!(bm.len(), rf.len());
-            // The no-empty-chunk invariant (semantic Eq) must hold after
-            // range clears: rebuild from pages and compare structurally.
-            let rebuilt: DirtyBitmap = bm.pages().collect();
-            proptest::prop_assert_eq!(bm, rebuilt);
         }
     }
 }

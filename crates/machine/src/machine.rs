@@ -2,53 +2,35 @@
 
 use crate::phys::HostPhys;
 
-/// Hardware configuration knobs.
+/// Hardware configuration: the two machines the paper runs on differ only
+/// in RAM and the EPML extension. Every machine has PML, VMCS shadowing,
+/// posted interrupts, SPP (§III-D, used by `ooh-secheap`) and PML-R (the
+/// accessed-bit logging extension behind working-set estimation); the TLB
+/// is unbounded (see the `tlb` module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
     /// Installed RAM in bytes.
     pub ram_bytes: u64,
-    /// Standard PML present (all our machines have it; the paper's i7-8565U
-    /// does).
-    pub pml: bool,
-    /// VMCS shadowing present.
-    pub vmcs_shadowing: bool,
-    /// Posted interrupts present.
-    pub posted_interrupts: bool,
     /// The paper's proposed EPML extension present (true for the
     /// BOCHS-analog emulated machine, false for the stock machine).
     pub epml: bool,
-    /// Intel SPP (sub-page write permission) present — the paper's §III-D
-    /// second OoH candidate, used by `ooh-secheap`.
-    pub spp: bool,
-    /// Optional TLB capacity per vCPU (None = unbounded, the default model;
-    /// see `tlb` module docs). Bounding changes walk counts — useful for
-    /// studying baseline sensitivity — but never logging semantics.
-    pub tlb_capacity: Option<usize>,
-    /// PML-R: the accessed-bit logging extension (working-set estimation).
-    pub pml_read_logging: bool,
 }
 
 impl MachineConfig {
-    /// The paper's real testbed: PML + shadowing + posted interrupts, no
-    /// EPML (SPML experiments run here).
+    /// The paper's real testbed (the i7-8565U): no EPML, so SPML
+    /// experiments run here.
     pub fn stock(ram_bytes: u64) -> Self {
         Self {
             ram_bytes,
-            pml: true,
-            vmcs_shadowing: true,
-            posted_interrupts: true,
             epml: false,
-            spp: true,
-            tlb_capacity: None,
-            pml_read_logging: true,
         }
     }
 
     /// The paper's extended (BOCHS-emulated) machine with EPML.
     pub fn epml(ram_bytes: u64) -> Self {
         Self {
+            ram_bytes,
             epml: true,
-            ..Self::stock(ram_bytes)
         }
     }
 }
@@ -85,7 +67,7 @@ mod tests {
     #[test]
     fn stock_has_no_epml() {
         let c = MachineConfig::stock(1 << 30);
-        assert!(c.pml && c.vmcs_shadowing && c.posted_interrupts && !c.epml);
+        assert!(!c.epml);
         let e = MachineConfig::epml(1 << 30);
         assert!(e.epml);
     }

@@ -66,45 +66,25 @@ impl TlbEntry {
 
 /// Per-vCPU TLB. Tagged by the CR3 that filled it; switching CR3 flushes
 /// (we model a pre-PCID kernel, matching the paper's Linux 4.15 guest).
-///
-/// Capacity is unbounded by default (see the module docs for why that
-/// never changes logging semantics); [`Tlb::with_capacity`] bounds it with
-/// FIFO eviction for studies of walk-count sensitivity.
+/// Capacity is unbounded (see the module docs for why that never changes
+/// logging semantics).
 #[derive(Debug, Default)]
 pub struct Tlb {
     entries: BTreeMap<u64, TlbEntry>,
     /// 2 MiB translations, keyed by `gva.huge_page()` — the separate
-    /// large-page array of a real TLB. Exempt from the 4K capacity bound
-    /// (huge entries are few and cover 512× the space each).
+    /// large-page array of a real TLB.
     huge_entries: BTreeMap<u64, TlbEntry>,
-    /// FIFO of filled pages, used only when `capacity` is set (kept exact:
-    /// stale keys are skipped at eviction).
-    fill_order: std::collections::VecDeque<u64>,
-    capacity: Option<usize>,
     cr3_tag: u64,
     hits: u64,
     misses: u64,
     flushes: u64,
     invlpgs: u64,
-    evictions: u64,
     shootdowns: u64,
 }
 
 impl Tlb {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A TLB bounded to `capacity` translations, FIFO-evicted.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            capacity: Some(capacity),
-            ..Self::default()
-        }
-    }
-
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Look up the translation for `gva` under `cr3`.
@@ -179,26 +159,11 @@ impl Tlb {
             // Different address space than the cached one: implicit flush.
             self.entries.clear();
             self.huge_entries.clear();
-            self.fill_order.clear();
             self.cr3_tag = cr3.raw();
         }
         if entry.huge {
             self.huge_entries.insert(gva.huge_page(), entry);
             return;
-        }
-        if let Some(cap) = self.capacity {
-            while self.entries.len() >= cap {
-                // Evict the oldest still-resident fill.
-                match self.fill_order.pop_front() {
-                    Some(victim) => {
-                        if self.entries.remove(&victim).is_some() {
-                            self.evictions += 1;
-                        }
-                    }
-                    None => break, // bookkeeping drained: nothing to evict
-                }
-            }
-            self.fill_order.push_back(gva.page());
         }
         self.entries.insert(gva.page(), entry);
     }
@@ -207,7 +172,6 @@ impl Tlb {
     pub fn flush_all(&mut self) {
         self.entries.clear();
         self.huge_entries.clear();
-        self.fill_order.clear();
         self.flushes += 1;
     }
 
@@ -244,7 +208,6 @@ impl Tlb {
     pub fn shootdown_flush_all(&mut self) {
         self.entries.clear();
         self.huge_entries.clear();
-        self.fill_order.clear();
         self.shootdowns += 1;
     }
 
@@ -358,33 +321,6 @@ mod tests {
         e.spp_guarded = false;
         e.writable = false;
         assert!(!e.store_fast_path());
-    }
-
-    #[test]
-    fn bounded_tlb_evicts_fifo() {
-        let mut t = Tlb::with_capacity(2);
-        let cr3 = Gpa(0x1000);
-        t.fill(cr3, Gva(0x1000), entry(1));
-        t.fill(cr3, Gva(0x2000), entry(2));
-        t.fill(cr3, Gva(0x3000), entry(3)); // evicts 0x1000
-        assert!(t.lookup(cr3, Gva(0x1000)).is_none());
-        assert!(t.lookup(cr3, Gva(0x2000)).is_some());
-        assert!(t.lookup(cr3, Gva(0x3000)).is_some());
-        assert_eq!(t.evictions(), 1);
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn bounded_tlb_refill_after_invlpg() {
-        let mut t = Tlb::with_capacity(2);
-        let cr3 = Gpa(0x1000);
-        t.fill(cr3, Gva(0x1000), entry(1));
-        t.invlpg(Gva(0x1000));
-        t.fill(cr3, Gva(0x2000), entry(2));
-        t.fill(cr3, Gva(0x3000), entry(3));
-        // 0x1000 is a stale FIFO key; eviction must skip it without error.
-        t.fill(cr3, Gva(0x4000), entry(4));
-        assert_eq!(t.len(), 2);
     }
 
     #[test]

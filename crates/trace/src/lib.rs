@@ -3,10 +3,9 @@
 //! The simulator charges every mechanism to a virtual nanosecond clock
 //! (`SimCtx::charge*`), but that attribution is write-only: the clock says
 //! *how much* time passed, not *where* it went. This crate is the read side.
-//! Install a [`Tracer`] on a `SimCtx` (built with the `trace` feature) and
-//! every charge is journaled as a structured record — lane, event kind,
-//! vCPU, pid, technique, nanoseconds — keyed **only by the virtual clock**,
-//! so tracing never perturbs the determinism contract: the same seeded
+//! Install a [`Tracer`] on a `SimCtx` and every charge is journaled as a
+//! structured record — lane, event kind, vCPU, pid, technique, nanoseconds —
+//! keyed **only by the virtual clock**, so tracing never perturbs the determinism contract: the same seeded
 //! scenario produces the same journal, byte for byte, and the virtual clocks
 //! are identical with tracing on or off.
 //!
@@ -30,9 +29,7 @@
 //! Aggregates (attribution tree, per-label scope sums, lane totals) are
 //! exact for runs of any length; only the per-instance timeline kept for the
 //! Chrome export is capped, with drops counted and reported. When no tracer
-//! is installed the hooks cost one relaxed load per charge; when `ooh-sim`
-//! is built without the `trace` feature they compile out entirely
-//! (DESIGN.md §8).
+//! is installed the hooks cost one relaxed load per charge (DESIGN.md §8).
 
 #![forbid(unsafe_code)]
 

@@ -253,47 +253,3 @@ fn gc_results_are_technique_independent() {
     }
     assert!(checksums.windows(2).all(|w| w[0] == w[1]), "{checksums:?}");
 }
-
-/// EXPERIMENTS.md's D1 claim, verified mechanically: bounding the TLB
-/// changes walk counts (the baseline cost structure) but never the dirty
-/// sets any technique reports.
-#[test]
-fn bounded_tlb_changes_walks_not_dirty_sets() {
-    use ooh::sim::Event;
-
-    let run = |tlb_capacity: Option<usize>| {
-        let mut config = MachineConfig::epml(256 * 1024 * PAGE_SIZE);
-        config.tlb_capacity = tlb_capacity;
-        let mut hv = Hypervisor::new(config, SimCtx::new());
-        let vm = hv.create_vm(64 * 1024 * PAGE_SIZE, 1).unwrap();
-        let mut kernel = GuestKernel::new(vm);
-        let pid = kernel.spawn(&mut hv).unwrap();
-        let region = kernel.mmap(pid, 64, true, VmaKind::Anon).unwrap();
-        for g in region.iter_pages().collect::<Vec<_>>() {
-            kernel.write_u64(&mut hv, pid, g, 0, Lane::Tracked).unwrap();
-        }
-        let mut session =
-            OohSession::start(&mut hv, &mut kernel, pid, Technique::Epml).unwrap();
-        // Two passes over the region (the second would be walk-free with an
-        // unbounded TLB, walk-heavy with a tiny one).
-        for _ in 0..2 {
-            for g in region.iter_pages().collect::<Vec<_>>() {
-                kernel.write_u64(&mut hv, pid, g.add(16), 1, Lane::Tracked).unwrap();
-            }
-        }
-        let dirty = session.fetch_dirty(&mut hv, &mut kernel).unwrap();
-        session.stop(&mut hv, &mut kernel).unwrap();
-        let walks = hv.ctx.counters().get(Event::PageWalk);
-        let set: Vec<u64> = dirty.pages().collect();
-        (walks, set)
-    };
-
-    let (walks_unbounded, set_unbounded) = run(None);
-    let (walks_bounded, set_bounded) = run(Some(8));
-    assert!(
-        walks_bounded > walks_unbounded,
-        "a 8-entry TLB must walk more: {walks_bounded} vs {walks_unbounded}"
-    );
-    assert_eq!(set_unbounded, set_bounded, "dirty sets must be identical");
-    assert_eq!(set_bounded.len(), 64);
-}
